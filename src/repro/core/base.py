@@ -11,13 +11,23 @@ silently wrong simulation.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.errors import ScheduleError
 from repro.graphs.request_graph import RequestGraph
 from repro.types import Grant, ScheduleResult
 
-__all__ = ["Scheduler", "validate_schedule", "make_result"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+    from repro.graphs.conversion import ConversionScheme
+
+__all__ = ["BatchKernel", "Scheduler", "validate_schedule", "make_result"]
+
+#: A batch kernel: ``(request_matrix, available, e, f, *, check)`` →
+#: ``(M, k)`` assign matrix (:func:`repro.core.batch.batch_first_available`
+#: is the reference signature).
+BatchKernel = Callable[..., "np.ndarray"]
 
 
 def validate_schedule(rg: RequestGraph, grants: Iterable[Grant]) -> None:
@@ -94,6 +104,19 @@ class Scheduler(ABC):
         not support ``rg.scheme`` (e.g. the First Available scheduler on a
         circular scheme).
         """
+
+    def batch_kernel(self, scheme: "ConversionScheme") -> BatchKernel | None:
+        """The batch kernel computing this scheduler's grants on ``scheme``
+        for many output fibers in one call, or ``None``.
+
+        A scheduler that returns a kernel promises that, row by row, the
+        kernel grants exactly what :meth:`schedule` grants (the service
+        tick then skips :meth:`schedule` for single-class rows; see
+        :func:`repro.core.distributed.schedule_tick`).  Default: ``None``
+        — every fiber goes through :meth:`schedule`.  A subclass that
+        changes :meth:`schedule` must override this too.
+        """
+        return None
 
     def supports(self, rg: RequestGraph) -> bool:
         """Whether this scheduler accepts ``rg``'s conversion scheme."""

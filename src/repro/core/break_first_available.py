@@ -35,8 +35,9 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core import batch_bfa as _batch_bfa
 from repro.core import kernels as _kernels
-from repro.core.base import Scheduler, make_result
+from repro.core.base import BatchKernel, Scheduler, make_result
 from repro.core.memo import (
     ScheduleCache,
     schedule_cache_key,
@@ -44,7 +45,7 @@ from repro.core.memo import (
 )
 from repro.errors import InvalidParameterError, ScheduleError
 from repro.graphs.breaking import break_graph
-from repro.graphs.conversion import CircularConversion
+from repro.graphs.conversion import CircularConversion, ConversionScheme
 from repro.graphs.request_graph import RequestGraph
 from repro.types import Grant, ScheduleResult
 
@@ -306,6 +307,11 @@ class BreakFirstAvailableScheduler(Scheduler):
                 f"conversion, got {rg.scheme!r}; use FirstAvailableScheduler "
                 "for non-circular schemes"
             )
+
+    def batch_kernel(self, scheme: ConversionScheme) -> BatchKernel | None:
+        if isinstance(scheme, CircularConversion) and not scheme.is_full_range:
+            return _batch_bfa.batch_break_first_available
+        return None
 
     def schedule(self, rg: RequestGraph) -> ScheduleResult:
         self._check_scheme(rg)

@@ -7,28 +7,35 @@ in one subset does not affect the decisions in other subsets".  The
 per-output scheduler instance per fiber, optionally executed concurrently,
 with total per-slot work ``O(N · k)`` / ``O(N · dk)`` — i.e. ``O(k)`` or
 ``O(dk)`` *per scheduling unit*, independent of interconnect size ``N``.
+:func:`schedule_tick` is the online service's form of the same
+decomposition: one batch-kernel call covers every output fiber of a tick.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.base import Scheduler, make_result, validate_schedule
+from repro.core.base import (
+    BatchKernel,
+    Scheduler,
+    make_result,
+    validate_schedule,
+)
 from repro.core.break_first_available import bfa_fast
 from repro.core.first_available import first_available_fast
 from repro.core.policies import FixedPriorityPolicy, GrantPolicy
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, ScheduleError, ShardDownError
 from repro.graphs.conversion import (
     CircularConversion,
     ConversionScheme,
     NonCircularConversion,
 )
 from repro.graphs.request_graph import RequestGraph
-from repro.types import ScheduleResult
+from repro.types import Grant, ScheduleResult
 from repro.util.validation import (
     check_index,
     check_nonnegative_int,
@@ -43,6 +50,8 @@ __all__ = [
     "validate_slot_request",
     "distribute_grants",
     "schedule_output_fiber",
+    "FiberRow",
+    "schedule_tick",
 ]
 
 
@@ -371,6 +380,184 @@ def _schedule_output_fiber_degraded(
         },
     )
     return combined, granted, rejected
+
+
+class FiberRow(NamedTuple):
+    """One output fiber's share of a tick: its requests (in arrival order),
+    its free-channel mask and the scheduler that owns it."""
+
+    output_fiber: int
+    requests: Sequence[SlotRequest]
+    available: Sequence[bool]
+    scheduler: Scheduler
+
+
+#: One fiber's resolved tick: granted and rejected requests.
+FiberOutcome = tuple[list[GrantedRequest], list[SlotRequest]]
+
+
+def _check_assign(
+    scheme: ConversionScheme,
+    assign: np.ndarray,
+    req: np.ndarray,
+    avail: np.ndarray,
+) -> dict[int, ScheduleError]:
+    """Trust boundary for a batch kernel: :func:`validate_schedule` as
+    whole-array arithmetic on the ``(M, k)`` assign matrix.
+
+    Flags, per row, an assigned value outside ``[-1, k)``, a grant on an
+    unavailable channel, a grant outside the circular or clipped
+    conversion window, and a wavelength granted more channels than it has
+    requests.  Channel distinctness holds by the encoding (one wavelength
+    per channel cell).  Returns the failing rows' errors, each carrying
+    :func:`validate_schedule`'s own message for that row.
+    """
+    m_rows, k = assign.shape
+    e, f = scheme.e, scheme.f
+    valid = (assign >= -1) & (assign < k)
+    granted = valid & (assign >= 0)
+    w = np.where(granted, assign, 0)
+    offset = np.arange(k) - w
+    if isinstance(scheme, CircularConversion):
+        in_window = (offset + e) % k <= e + f
+    else:
+        in_window = (offset >= -e) & (offset <= f)
+    flat = (np.arange(m_rows)[:, None] * k + w)[granted]
+    counts = np.bincount(flat, minlength=m_rows * k).reshape(m_rows, k)
+    bad = (
+        ~valid | (granted & ~(avail & in_window))
+    ).any(axis=1) | (counts > req).any(axis=1)
+    errors: dict[int, ScheduleError] = {}
+    for j in np.flatnonzero(bad).tolist():
+        # Rare path: name the defect exactly as the per-fiber check does.
+        grants = [
+            Grant(wavelength=w_b, channel=b)
+            for b, w_b in enumerate(assign[j].tolist())
+            if w_b != -1
+        ]
+        rg = RequestGraph(scheme, req[j].tolist(), avail[j].tolist())
+        try:
+            validate_schedule(rg, grants)
+        except ScheduleError as exc:
+            errors[j] = exc
+        else:  # pragma: no cover - the array check is the stricter one
+            errors[j] = ScheduleError(f"batch kernel row {j} is infeasible")
+    return errors
+
+
+def schedule_tick(
+    scheme: ConversionScheme,
+    policy: GrantPolicy,
+    rows: Sequence[FiberRow],
+    degradations: "Mapping[int, tuple[int, int]] | None" = None,
+    fallback: "Callable[[FiberRow], FiberOutcome] | None" = None,
+) -> list["FiberOutcome | ShardDownError"]:
+    """Resolve one tick's output fibers with one batch-kernel call.
+
+    The paper's decomposition makes each fiber's FA/BFA decision
+    independent of the others, so every row whose scheduler offers a
+    :meth:`~repro.core.base.Scheduler.batch_kernel` for ``scheme`` is
+    stacked into one ``(M, k)`` request matrix and availability mask,
+    solved by one kernel call, and checked once as a whole array
+    (:func:`_check_assign`).  Each checked row then goes to
+    :func:`distribute_grants`, rows in the given order, so a stateful
+    policy draws exactly as it does fiber by fiber.
+
+    Rows the kernel cannot express go through ``fallback`` instead
+    (default: :func:`schedule_output_fiber`): rows with a degraded input
+    (``degradations``), rows mixing priority classes, and rows whose
+    scheduler has no kernel for ``scheme``.  If a kernel call raises, each
+    of its rows re-runs through ``fallback`` so only the faulty fibers
+    fail.
+
+    Returns one entry per row: ``(granted, rejected)``, or the
+    :class:`~repro.errors.ShardDownError` that fiber's shard crashed with
+    (the defect — e.g. the :class:`~repro.errors.ScheduleError` of a row
+    that failed the check — is its ``__cause__``).  The rest of the
+    tick's rows are unaffected.  Never consults the memo cache.
+    """
+    if fallback is None:
+
+        def fallback(row: FiberRow) -> FiberOutcome:
+            return schedule_output_fiber(
+                scheme, row.scheduler, policy, row.output_fiber,
+                row.requests, row.available, degradations,
+            )[1:]
+
+    k = scheme.k
+    degraded = degradations or {}
+    windowed = isinstance(scheme, (CircularConversion, NonCircularConversion))
+    groups: dict[BatchKernel, list[tuple[int, list[int]]]] = {}
+    for i, row in enumerate(rows):
+        if not windowed or not row.requests:
+            continue
+        kernel = row.scheduler.batch_kernel(scheme)
+        if kernel is None:
+            continue
+        vector = [0] * k
+        priority = row.requests[0].priority
+        for r in row.requests:
+            if r.priority != priority or r.input_fiber in degraded:
+                break
+            vector[r.wavelength] += 1
+        else:
+            groups.setdefault(kernel, []).append((i, vector))
+
+    assigned: dict[int, list[int]] = {}
+    failed: dict[int, ScheduleError] = {}
+    for kernel, members in groups.items():
+        req = np.array([vector for _i, vector in members], dtype=np.int64)
+        avail = np.array(
+            [rows[i].available for i, _vector in members], dtype=bool
+        )
+        try:
+            assign = kernel(req, avail, scheme.e, scheme.f, check=False)
+            if assign.shape != req.shape:
+                raise ScheduleError(
+                    f"batch kernel returned shape {assign.shape}, "
+                    f"expected {req.shape}"
+                )
+        except Exception:
+            continue  # every row of this call re-runs through fallback
+        errors = _check_assign(scheme, assign, req, avail)
+        for j, ((i, _vector), row_assign) in enumerate(
+            zip(members, assign.tolist())
+        ):
+            if j in errors:
+                failed[i] = errors[j]
+            else:
+                assigned[i] = row_assign
+
+    outcomes: list[FiberOutcome | ShardDownError] = []
+    for i, row in enumerate(rows):
+        try:
+            if i in failed:
+                raise failed[i]
+            row_assign = assigned.get(i)
+            if row_assign is None:
+                outcomes.append(fallback(row))
+                continue
+            grants = [
+                Grant(wavelength=w, channel=b)
+                for b, w in enumerate(row_assign)
+                if w >= 0
+            ]
+            outcomes.append(
+                distribute_grants(
+                    policy, row.output_fiber, row.requests, grants
+                )
+            )
+        except ShardDownError as exc:
+            outcomes.append(exc)
+        except Exception as exc:
+            # A defect in this fiber only: the typed crash of its shard,
+            # the defect on the chain (as ShardWorker.schedule raises it).
+            down = ShardDownError(
+                f"shard {row.output_fiber} crashed while scheduling: {exc}"
+            )
+            down.__cause__ = exc
+            outcomes.append(down)
+    return outcomes
 
 
 class DistributedScheduler:

@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core import batch as _batch
 from repro.core import kernels as _kernels
 from repro.errors import InvalidParameterError
 from repro.graphs.conversion import (
@@ -34,7 +35,7 @@ from repro.graphs.conversion import (
 )
 from repro.graphs.convex import first_available_convex
 from repro.graphs.request_graph import RequestGraph
-from repro.core.base import Scheduler, make_result
+from repro.core.base import BatchKernel, Scheduler, make_result
 from repro.core.memo import (
     ScheduleCache,
     schedule_cache_key,
@@ -137,6 +138,13 @@ class FirstAvailableScheduler(Scheduler):
                 f"(or full-range) conversion, got {scheme!r}; "
                 "use BreakFirstAvailableScheduler for circular schemes"
             )
+
+    def batch_kernel(self, scheme: ConversionScheme) -> BatchKernel | None:
+        # Full range keeps the per-fiber path (its clipped window differs
+        # from the scheme's own (e, f); see schedule()).
+        if isinstance(scheme, NonCircularConversion):
+            return _batch.batch_first_available
+        return None
 
     def schedule(self, rg: RequestGraph) -> ScheduleResult:
         self._check_scheme(rg)

@@ -106,7 +106,16 @@ class ConversionScheme(ABC):
 
     def can_convert(self, w: int, b: int) -> bool:
         """Whether input wavelength ``w`` may be converted to output ``b``."""
-        check_index(b, self._k, "b")
+        k = self._k
+        exact = type(w) is int and type(b) is int
+        if not (exact and 0 <= w < k and 0 <= b < k):
+            b = check_index(b, k, "b")
+            w = check_index(w, k, "w")
+        return self._in_window(w, b)
+
+    def _in_window(self, w: int, b: int) -> bool:
+        """:meth:`can_convert` on indexes already known to be in ``[0, k)``;
+        the built-in schemes override it with window arithmetic."""
         return b in self.adjacency(w)
 
     def sources(self, b: int) -> tuple[int, ...]:
@@ -161,6 +170,9 @@ class CircularConversion(ConversionScheme):
             sorted(CircularInterval(w - self.e, w + self.f, self.k))
         )
 
+    def _in_window(self, w: int, b: int) -> bool:
+        return (b - w + self._e) % self._k <= self._e + self._f
+
     def adjacency_interval(self, w: int) -> CircularInterval:
         """The adjacency set as the paper's interval ``[w - e, w + f]``."""
         check_index(w, self.k, "w")
@@ -183,6 +195,9 @@ class NonCircularConversion(ConversionScheme):
         lo = max(0, w - self.e)
         hi = min(self.k - 1, w + self.f)
         return tuple(range(lo, hi + 1))
+
+    def _in_window(self, w: int, b: int) -> bool:
+        return -self._e <= b - w <= self._f
 
     def adjacency_bounds(self, w: int) -> tuple[int, int]:
         """Clipped ``(BEGIN, END)`` wavelength bounds for ``λ_w``."""

@@ -39,15 +39,17 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.core.distributed import schedule_output_fiber
+from repro.core.distributed import FiberRow, schedule_tick
 from repro.errors import (
     InvalidParameterError,
     MigrationError,
+    ShardDownError,
     WorkerProcessError,
 )
 from repro.net.placement import HashRing
 from repro.service.durability import replay_journal
 from repro.service.journal import (
+    FAULT_CRASH,
     FileJournal,
     MemoryJournal,
     RecordType,
@@ -123,6 +125,15 @@ class _WorkerShard:
                 )
         return out
 
+    def crashed_at(self, slot: int) -> bool:
+        """Whether this shard journaled a scheduling crash at ``slot``."""
+        return any(
+            rec.type is RecordType.FAULT
+            and rec.tick == slot
+            and rec.values[0] == FAULT_CRASH
+            for rec in self.journal.records()
+        )
+
 
 def _journal_path(journal_dir: str, worker_id: int, o: int) -> Path:
     return Path(journal_dir) / f"worker-{worker_id}" / f"shard-{o}.wal"
@@ -167,15 +178,22 @@ def worker_main(
             poison = None
             time.sleep(stall_s)
         if op == "run_tick":
+            # One batch-kernel call for every owned shard of this tick
+            # (schedule_tick, the same function the in-process service
+            # ticks with).  Reply entries are (o, grant tuples, rejected
+            # pairs), or (o, None, reason) for a shard that crashed.
             _slot, work = msg[1], msg[2]
-            result: list[tuple[int, list, list]] = []
-            granted_any = False
+            result: list[tuple[int, list | None, list | str]] = []
+            rows: list[FiberRow] = []
             for o, req_tuples in work:
                 shard = shards[o]
                 requests = [_request_from_wire(t) for t in req_tuples]
                 if _slot < shard.next_tick:
                     # Redelivery of a completed tick: answer from the
                     # journal, never re-schedule (busy[] has moved on).
+                    if shard.crashed_at(_slot):
+                        result.append((o, None, "crashed (replayed)"))
+                        continue
                     winners = shard.replayed_grants(_slot)
                     won = {(w[0], w[1]) for w in winners}
                     rejected = [
@@ -191,40 +209,15 @@ def worker_main(
                 # ``_slot`` exactly as if the worker had been up.
                 while shard.next_tick < _slot:
                     shard.advance(shard.next_tick)
-                _res, granted, rejected_reqs = schedule_output_fiber(
-                    scheme,
-                    scheduler,
-                    policy,
-                    o,
-                    requests,
-                    shard.availability(),
-                    None,
+                rows.append(
+                    FiberRow(o, requests, shard.availability(), scheduler)
                 )
-                grant_tuples = [
-                    (
-                        g.request.input_fiber,
-                        g.request.wavelength,
-                        g.channel,
-                        g.request.duration,
-                    )
-                    for g in granted
-                ]
-                if grant_tuples:
-                    # Write-ahead: journal before committing.
-                    shard.journal.grant_batch(_slot, grant_tuples)
-                    granted_any = True
-                for _in, _wl, ch, dur in grant_tuples:
-                    shard.busy[ch] = dur
-                result.append(
-                    (
-                        o,
-                        grant_tuples,
-                        [
-                            (r.input_fiber, r.wavelength)
-                            for r in rejected_reqs
-                        ],
-                    )
-                )
+            granted_any = False
+            for row, outcome in zip(rows, schedule_tick(scheme, policy, rows)):
+                o = row.output_fiber
+                entry = _commit_outcome(shards[o], _slot, outcome)
+                granted_any = granted_any or bool(entry[0])
+                result.append((o, *entry))
             if poison == POISON_AFTER_GRANT and granted_any:
                 os._exit(1)  # died between grant journaling and advance
             for shard in shards.values():
@@ -259,41 +252,15 @@ def worker_main(
             while shard.next_tick < _slot:
                 shard.advance(shard.next_tick)
             requests = [_request_from_wire(t) for t in req_tuples]
-            _res, granted, rejected_reqs = schedule_output_fiber(
-                scheme,
-                scheduler,
-                policy,
-                o,
-                requests,
-                shard.availability(),
-                None,
-            )
-            grant_tuples = [
-                (
-                    g.request.input_fiber,
-                    g.request.wavelength,
-                    g.channel,
-                    g.request.duration,
-                )
-                for g in granted
-            ]
-            if grant_tuples:
-                shard.journal.grant_batch(_slot, grant_tuples)
-                if poison == POISON_AFTER_GRANT:
-                    os._exit(1)  # died between grant journaling and reply
-                for _in, _wl, ch, dur in grant_tuples:
-                    shard.busy[ch] = dur
+            row = FiberRow(o, requests, shard.availability(), scheduler)
+            (outcome,) = schedule_tick(scheme, policy, [row])
+            grant_tuples, rejected = _commit_outcome(shard, _slot, outcome)
+            if grant_tuples and poison == POISON_AFTER_GRANT:
+                os._exit(1)  # died between grant journaling and reply
             if poison == POISON_BEFORE_REPLY:
                 os._exit(1)
             conn.send(
-                (
-                    "shard_done",
-                    (
-                        grant_tuples,
-                        [(r.input_fiber, r.wavelength) for r in rejected_reqs],
-                        policy.export_state(),
-                    ),
-                )
+                ("shard_done", (grant_tuples, rejected, policy.export_state()))
             )
         elif op == "finish_tick":
             # Stateful-policy mode, end of tick: advance every owned
@@ -390,6 +357,38 @@ def worker_main(
             break
         else:
             conn.send(("error", f"unknown op {op!r}"))
+
+
+def _commit_outcome(
+    shard: _WorkerShard, slot: int, outcome
+) -> tuple[list | None, list | str]:
+    """Journal (write-ahead) and commit one shard's scheduled tick.
+
+    Returns the reply pair ``(grant tuples, rejected (input, wavelength)
+    pairs)``, or ``(None, reason)`` when the shard crashed while
+    scheduling: nothing is granted, the crash is journaled for the audit
+    trail, and the shard's clock is untouched (it lives on in this
+    worker), so only this tick's requests are lost.
+    """
+    if isinstance(outcome, ShardDownError):
+        shard.journal.fault(slot, FAULT_CRASH)
+        return None, str(outcome)
+    granted, rejected = outcome
+    grant_tuples = [
+        (
+            g.request.input_fiber,
+            g.request.wavelength,
+            g.channel,
+            g.request.duration,
+        )
+        for g in granted
+    ]
+    if grant_tuples:
+        # Write-ahead: journal before committing.
+        shard.journal.grant_batch(slot, grant_tuples)
+        for _in, _wl, ch, dur in grant_tuples:
+            shard.busy[ch] = dur
+    return grant_tuples, [(r.input_fiber, r.wavelength) for r in rejected]
 
 
 def _request_from_wire(t: tuple) -> "Any":

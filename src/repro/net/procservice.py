@@ -6,7 +6,13 @@ bounded queues, same submission edge (dedup, counters), same input-side
 admission state machine (:mod:`repro.service.tickloop`), same FIFO /
 fiber-order discipline — but runs step 3 (per-output scheduling) and
 step 5 (channel-clock advance) inside OS worker processes chosen by
-consistent-hash placement (:mod:`repro.net.procpool`).
+consistent-hash placement (:mod:`repro.net.procpool`).  A worker
+schedules all the shards it owns with one
+:func:`~repro.core.distributed.schedule_tick` call per tick — the same
+function the in-process service ticks with.  A shard whose scheduling
+crashes (a kernel row that fails the feasibility check, a scheduler that
+raises) loses that tick only: its requests resolve ``SHARD_DOWN``,
+``server.shard_crashes`` counts it, and its clock lives on in the worker.
 
 Because the per-output decision is a pure function of (scheme,
 scheduler, stateless policy, requests, busy[]) — the paper's
@@ -31,7 +37,7 @@ feeds every output's draws) runs in **stateful mode**: the parent owns
 the canonical policy state and threads it through one worker call per
 contended shard, in global fiber order — each reply ships the post-draw
 state back — so the draw sequence is bit-identical to the in-process
-``INLINE`` service and the simulator, at the price of serializing the
+service and the simulator, at the price of serializing the
 contended shards' scheduling.  Crash recovery stays exact in both modes
 (see the ``finish_tick`` self-healing note in
 :func:`repro.net.procpool.worker_main`).
@@ -175,6 +181,7 @@ class ProcessShardedService:
         )
         self._migrator = ShardMigrator(self.pool, self.telemetry)
         self._c_ticks = self.telemetry.counter("server.ticks")
+        self._c_shard_crashes = self.telemetry.counter("server.shard_crashes")
         self._g_slot = self.telemetry.gauge("server.slot")
         self._g_depth = self.telemetry.gauge("server.queue_depth_total")
         self._h_tick = self.telemetry.histogram(
@@ -320,7 +327,11 @@ class ProcessShardedService:
         # blowing up the whole tick, its breakers count the failure, and
         # the worker's clocks catch up by journaled ADVANCE replay once
         # it heals (see worker_main's missed-slot catch-up).
-        by_shard: dict[int, tuple[list, list]] = {}
+        # A shard whose scheduling crashed in its worker (a kernel row
+        # that failed the feasibility check, a scheduler that raised)
+        # comes back as (None, reason): its requests resolve SHARD_DOWN
+        # and only that shard loses the tick.
+        by_shard: dict[int, tuple[list | None, list | str]] = {}
         unavailable: set[int] = set()
         if self._stateful:
             # One call per contended shard, global fiber order, policy
@@ -398,15 +409,18 @@ class ProcessShardedService:
         for o in sorted(work):
             survivors = work[o]
             breaker = self.breakers[o] if self.breakers is not None else None
-            if o in unavailable:
+            grant_tuples, rejected_pairs = by_shard.get(o, (None, None))
+            if grant_tuples is None:
+                if o in unavailable:
+                    reason = RejectReason.UNAVAILABLE
+                else:
+                    reason = RejectReason.SHARD_DOWN
+                    self._c_shard_crashes.inc()
                 for p in survivors:
-                    self.edge.resolve_rejected(
-                        p, RejectReason.UNAVAILABLE, slot
-                    )
+                    self.edge.resolve_rejected(p, reason, slot)
                     if breaker is not None:
                         breaker.record_failure(slot)
                 continue
-            grant_tuples, rejected_pairs = by_shard[o]
             by_input = {
                 (p.request.input_fiber, p.request.wavelength): p
                 for p in survivors

@@ -73,7 +73,6 @@ from repro.service.resharding import (
     wave_bound,
 )
 from repro.service.server import (
-    ExecutionMode,
     Rejected,
     RejectReason,
     SchedulingService,
@@ -105,7 +104,6 @@ __all__ = [
     "Counter",
     "DurabilityConfig",
     "DurabilityManager",
-    "ExecutionMode",
     "FileJournal",
     "FileSnapshotStore",
     "Gauge",

@@ -16,10 +16,11 @@ is what the equivalence test relies on):
    requests whose input channel is still held by an earlier multi-slot
    grant or by an earlier request in this same tick (``SOURCE_BLOCKED`` —
    the input laser cannot transmit two signals).
-3. **Fan-out**: run each shard's per-output scheduler on the survivors —
-   inline on the event loop, on a thread pool (one task per shard), or via
-   the NumPy vectorized batch kernels on a worker thread
-   (:class:`ExecutionMode`).
+3. **Schedule**: resolve every shard's survivors inline on the event
+   loop with one batch-kernel call for all output fibers
+   (:func:`~repro.core.distributed.schedule_tick`); rows the kernel cannot
+   express (degraded inputs, mixed priority classes, schedulers without a
+   kernel) go through :meth:`ShardWorker.schedule` instead.
 4. **Commit**: hold granted output/input channels for the connection's
    duration, resolve futures, record telemetry (grant latency, tick
    duration, occupancy, queue depths).
@@ -35,19 +36,14 @@ from __future__ import annotations
 import asyncio
 import enum
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Sequence
-
-import numpy as np
+from typing import Callable
 
 from repro.core.base import Scheduler
-from repro.core.batch import batch_first_available
-from repro.core.batch_bfa import batch_break_first_available
 from repro.core.distributed import (
-    GrantedRequest,
+    FiberRow,
     SlotRequest,
-    distribute_grants,
+    schedule_tick,
     validate_slot_request,
 )
 from repro.core.policies import FixedPriorityPolicy, GrantPolicy
@@ -64,11 +60,7 @@ from repro.faults import (
     FaultPlan,
     as_injector,
 )
-from repro.graphs.conversion import (
-    CircularConversion,
-    ConversionScheme,
-    NonCircularConversion,
-)
+from repro.graphs.conversion import ConversionScheme
 from repro.service.breaker import BreakerConfig, CircuitBreaker
 from repro.service.edge import PendingRequest, SubmissionEdge
 from repro.service.durability import (
@@ -87,42 +79,14 @@ from repro.service.shard import ShardWorker
 from repro.service.supervisor import ShardSupervisor, SupervisorConfig
 from repro.service.telemetry import Telemetry, exponential_buckets
 from repro.service.tickloop import InputAdmission
-from repro.types import Grant
 from repro.util.validation import check_positive_int
 
 __all__ = [
-    "ExecutionMode",
     "RejectReason",
     "ServiceGrant",
     "Rejected",
     "SchedulingService",
 ]
-
-
-class ExecutionMode(enum.Enum):
-    """How one tick's shard fan-out executes.
-
-    ``INLINE`` — sequentially on the event loop, shards in ascending
-    output-fiber order.  Deterministic for every policy; the mode the
-    simulator-equivalence guarantee covers.
-
-    ``THREADS`` — one executor task per shard.  Scheduling is a pure read
-    of shard state, so this is safe; determinism additionally requires a
-    stateless (or per-shard) grant policy because shards may interleave
-    policy calls.
-
-    ``VECTORIZED`` — all shards' request vectors stacked into one
-    ``(M, k)`` NumPy batch solved by the
-    :func:`~repro.core.batch.batch_first_available` /
-    :func:`~repro.core.batch_bfa.batch_break_first_available` kernels on a
-    worker thread (keeping the event loop responsive).  Requires a
-    non-circular or circular (non-full-range) scheme and single-priority
-    traffic.
-    """
-
-    INLINE = "inline"
-    THREADS = "threads"
-    VECTORIZED = "vectorized"
 
 
 class RejectReason(enum.Enum):
@@ -209,8 +173,11 @@ class SchedulingService:
     scheduler:
         Per-output contention-resolution algorithm, shared by all shards
         (every in-tree scheduler is stateless).  Pass ``scheduler_factory``
-        instead to give each shard its own instance (required for stateful
-        third-party schedulers under ``THREADS`` mode).
+        instead to give each shard its own instance.  Shards whose
+        scheduler offers a batch kernel for ``scheme``
+        (:meth:`~repro.core.base.Scheduler.batch_kernel`: FA on
+        non-circular, BFA on limited-range circular) are scheduled together
+        in one kernel call per tick; the rest fiber by fiber.
     policy:
         Grant policy among same-wavelength contenders (default:
         deterministic :class:`FixedPriorityPolicy`).
@@ -235,9 +202,6 @@ class SchedulingService:
         any non-idle event on a shard flushes its run first, so grant
         ordering and recovery are unchanged.  Default 1 — every tick is
         its own iteration, the pre-window behavior.
-    mode, max_workers:
-        Fan-out execution (see :class:`ExecutionMode`) and thread-pool
-        width for the non-inline modes.
     telemetry:
         Optional shared :class:`Telemetry` registry (default: private).
     faults:
@@ -245,8 +209,8 @@ class SchedulingService:
         Channel outages darken shard channels, converter degradations
         narrow the affected inputs' schemes, and shard crashes kill the
         owning worker at the scheduled tick (the supervisor restarts it;
-        see ``docs/ROBUSTNESS.md``).  ``VECTORIZED`` mode rejects plans
-        with degradations (one batch kernel, one scheme).
+        see ``docs/ROBUSTNESS.md``).  Requests from degraded inputs are
+        scheduled fiber by fiber on the narrowed schemes.
     breaker:
         Optional :class:`~repro.service.breaker.BreakerConfig`; when given,
         every shard gets a circuit breaker and submissions to a tripped
@@ -286,8 +250,6 @@ class SchedulingService:
         tick_interval: float = 0.001,
         max_batch_per_tick: int | None = None,
         tick_window: int = 1,
-        mode: ExecutionMode = ExecutionMode.INLINE,
-        max_workers: int | None = None,
         telemetry: Telemetry | None = None,
         faults: "FaultInjector | FaultPlan | None" = None,
         breaker: BreakerConfig | None = None,
@@ -314,23 +276,8 @@ class SchedulingService:
         # True while tick_burst() has a window open: idle-shard ADVANCEs
         # are deferred for coalescing instead of journaled per tick.
         self._window_open = False
-        self.mode = mode
-        self.max_workers = max_workers
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._faults = as_injector(faults, self.n_fibers, scheme.k)
-        if (
-            mode is ExecutionMode.VECTORIZED
-            and self._faults is not None
-            and self._faults.has_degradations
-        ):
-            raise InvalidParameterError(
-                "VECTORIZED mode runs one batch kernel with one scheme and "
-                "cannot express per-input converter degradation; use INLINE "
-                "or THREADS for plans with ConverterDegradation events"
-            )
-
-        if mode is ExecutionMode.VECTORIZED:
-            self._batch_kernel = self._select_batch_kernel(scheme)
 
         # Kept for shard restarts: a replacement worker gets a fresh
         # scheduler from the factory (or the shared stateless one).
@@ -368,7 +315,6 @@ class SchedulingService:
         self._admission = InputAdmission(self.n_fibers, scheme.k)
         self._in_busy = self._admission.in_busy
         self._slot = 0
-        self._pool: ThreadPoolExecutor | None = None
         self._timer_task: asyncio.Task[None] | None = None
         self._closed = False
 
@@ -416,17 +362,6 @@ class SchedulingService:
         self._h_occupancy = t.histogram("server.occupancy_channels", _OCCUPANCY_BUCKETS)
         self._g_slot = t.gauge("server.slot")
         self._g_depth = t.gauge("server.queue_depth_total")
-
-    @staticmethod
-    def _select_batch_kernel(scheme: ConversionScheme):
-        if isinstance(scheme, NonCircularConversion):
-            return batch_first_available
-        if isinstance(scheme, CircularConversion) and not scheme.is_full_range:
-            return batch_break_first_available
-        raise InvalidParameterError(
-            "VECTORIZED mode needs a non-circular (batch FA) or "
-            f"non-full-range circular (batch BFA) scheme, got {scheme!r}"
-        )
 
     # -- submission ---------------------------------------------------------
 
@@ -745,59 +680,36 @@ class SchedulingService:
             if survivors:
                 work.append((shard, survivors))
 
-        # 3: fan out the per-shard scheduling.  A shard whose scheduler
-        # raises is a crashed shard (ShardDownError, original defect on the
-        # chain) — it is isolated to a None outcome so the other shards'
-        # grants still commit this tick.
-        outcomes: list[
-            tuple[list[GrantedRequest], list[SlotRequest]] | None
-        ]
-        if not work:
-            outcomes = []
-        elif self.mode is ExecutionMode.INLINE or len(work) == 1:
-            outcomes = []
-            for shard, pendings in work:
-                try:
-                    outcomes.append(
-                        shard.schedule(
-                            [p.request for p in pendings], degradations
-                        )[1:]
-                    )
-                except ShardDownError as exc:
-                    self._crash_shard(shard, slot, exc)
-                    outcomes.append(None)
-        elif self.mode is ExecutionMode.THREADS:
-            pool = self._ensure_pool()
-            tasks: list[Awaitable] = [
-                loop.run_in_executor(
-                    pool,
-                    shard.schedule,
+        # 3: schedule every shard's survivors with one batch-kernel call
+        # (repro/core/distributed.py: schedule_tick; rows it cannot batch
+        # go through ShardWorker.schedule).  A shard that fails — its
+        # kernel row fails the feasibility check, or its scheduler raises —
+        # comes back as its ShardDownError (original defect on the chain):
+        # a crashed shard, isolated so the other shards' grants still
+        # commit this tick.
+        outcomes = schedule_tick(
+            self.scheme,
+            self.policy,
+            [
+                FiberRow(
+                    shard.output_fiber,
                     [p.request for p in pendings],
-                    degradations,
+                    shard.availability(),
+                    shard.scheduler,
                 )
                 for shard, pendings in work
-            ]
-            results = await asyncio.gather(*tasks, return_exceptions=True)
-            outcomes = []
-            for (shard, pendings), res in zip(work, results):
-                if isinstance(res, ShardDownError):
-                    self._crash_shard(shard, slot, res)
-                    outcomes.append(None)
-                elif isinstance(res, BaseException):
-                    raise res
-                else:
-                    outcomes.append(res[1:])
-        else:  # VECTORIZED
-            pool = self._ensure_pool()
-            outcomes = await loop.run_in_executor(
-                pool, self._schedule_vectorized, work
-            )
-
+            ],
+            degradations,
+            lambda row: self.shards[row.output_fiber].schedule(
+                row.requests, degradations
+            )[1:],
+        )
         # 4: commit grants, resolve futures.
         n_granted = 0
         for (shard, pendings), outcome in zip(work, outcomes):
-            if outcome is None:
+            if isinstance(outcome, ShardDownError):
                 # The shard died mid-tick; its drained survivors fail fast.
+                self._crash_shard(shard, slot, outcome)
                 for p in pendings:
                     self._resolve_rejected(p, RejectReason.SHARD_DOWN, slot)
                     if self.breakers is not None:
@@ -892,43 +804,6 @@ class SchedulingService:
         self._h_tick.observe(time.perf_counter() - t0)
         return n_granted
 
-    def _schedule_vectorized(
-        self, work: Sequence[tuple[ShardWorker, Sequence[_Pending]]]
-    ) -> list[tuple[list[GrantedRequest], list[SlotRequest]]]:
-        """Solve all shards' sub-problems as one NumPy batch (worker thread)."""
-        k = self.scheme.k
-        rows = len(work)
-        req = np.zeros((rows, k), dtype=np.int64)
-        avail = np.zeros((rows, k), dtype=bool)
-        requests_per_row: list[list[SlotRequest]] = []
-        for i, (shard, pendings) in enumerate(work):
-            requests = [p.request for p in pendings]
-            if any(r.priority != 0 for r in requests):
-                raise SimulationError(
-                    "VECTORIZED mode does not support priority classes; "
-                    "use INLINE or THREADS"
-                )
-            requests_per_row.append(requests)
-            req[i] = shard.request_vector(requests)
-            avail[i] = shard.availability()
-        # Inputs are built here from shard state, so skip kernel revalidation.
-        assign = self._batch_kernel(
-            req, avail, self.scheme.e, self.scheme.f, check=False
-        )
-        outcomes: list[tuple[list[GrantedRequest], list[SlotRequest]]] = []
-        for i, (shard, _pendings) in enumerate(work):
-            grants = [
-                Grant(wavelength=int(assign[i, b]), channel=b)
-                for b in range(k)
-                if assign[i, b] >= 0
-            ]
-            outcomes.append(
-                distribute_grants(
-                    self.policy, shard.output_fiber, requests_per_row[i], grants
-                )
-            )
-        return outcomes
-
     # -- run modes ----------------------------------------------------------
 
     async def run_ticks(self, n: int) -> int:
@@ -992,7 +867,7 @@ class SchedulingService:
             await asyncio.sleep(self.tick_interval)
 
     async def stop(self) -> None:
-        """Stop ticking, flush queued requests as ``SHUTDOWN``, free threads.
+        """Stop ticking and flush queued requests as ``SHUTDOWN``.
 
         Idempotent; after ``stop()`` the service refuses new submissions.
         """
@@ -1015,13 +890,3 @@ class SchedulingService:
                 shard.update_depth_gauge()
             if self.durability is not None:
                 self.durability.close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix="repro-service"
-            )
-        return self._pool

@@ -12,12 +12,15 @@ natural service shard.  Each :class:`ShardWorker` owns
   connection (paper Section V non-disturb mode — exactly the
   :class:`~repro.sim.engine.SlottedSimulator` bookkeeping, per shard).
 
-Scheduling a tick is a *read* of shard state (so it may run on an executor
-thread); committing grants and advancing the clock are loop-thread writes.
-The scheduling decision itself goes through
-:func:`repro.core.distributed.schedule_output_fiber` — the same code path
-as the batch simulator, which is what makes service-vs-simulator grant
-equivalence testable instead of aspirational.
+Scheduling a tick is a *read* of shard state; committing grants and
+advancing the clock are writes.  The service schedules all shards of a
+tick with one batch-kernel call
+(:func:`repro.core.distributed.schedule_tick`); :meth:`ShardWorker.schedule`
+is the per-fiber path for the rows that call cannot express, and goes
+through :func:`repro.core.distributed.schedule_output_fiber` — the same
+code path as the batch simulator.  The simulator's independent per-fiber
+decisions are what make service-vs-simulator grant equivalence testable
+instead of aspirational.
 """
 
 from __future__ import annotations
@@ -136,15 +139,6 @@ class ShardWorker:
             raise ShardDownError(
                 f"shard {self.output_fiber} is down"
             ) from self._crash_cause
-
-    def request_vector(
-        self, requests: Sequence[SlotRequest]
-    ) -> list[int]:
-        """Wavelength-count vector of ``requests`` (vectorized batch path)."""
-        vec = [0] * self.k
-        for r in requests:
-            vec[r.wavelength] += 1
-        return vec
 
     # -- one slot tick ------------------------------------------------------
 

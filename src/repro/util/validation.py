@@ -20,6 +20,11 @@ __all__ = [
 
 
 def _as_int(value: object, name: str) -> int:
+    # Exact ints are the common case on every hot path (request fields are
+    # checked on each submit); the ``numbers`` ABC checks below cost far
+    # more than the whole range check, so they only see everything else.
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     return int(value)

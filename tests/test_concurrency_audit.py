@@ -2,11 +2,11 @@
 
 Both objects are shared across threads in supported configurations —
 a :class:`RetryBudget` by clients on different threads/event loops, the
-:class:`ScheduleCache` by shard schedulers under ``ExecutionMode.THREADS``
-— so their mutations must be lock-guarded read-modify-writes.  These tests
-hammer them from many threads and assert *exact* accounting, which the
-pre-audit unlocked float arithmetic (``tokens -= 1``) loses under
-interleaving.
+:class:`ScheduleCache` by per-output schedulers on the thread pool of a
+``DistributedScheduler(parallel=True)`` — so their mutations must be
+lock-guarded read-modify-writes.  These tests hammer them from many threads
+and assert *exact* accounting, which the pre-audit unlocked float
+arithmetic (``tokens -= 1``) loses under interleaving.
 """
 
 import threading

@@ -1,5 +1,5 @@
 """Tests for the asyncio scheduling service: grants, timeouts, backpressure,
-shard-state carryover, execution modes, and telemetry conservation."""
+shard-state carryover, the tick path, and telemetry conservation."""
 
 import asyncio
 
@@ -11,7 +11,6 @@ from repro.core.first_available import FirstAvailableScheduler
 from repro.errors import InvalidParameterError, SimulationError
 from repro.graphs.conversion import CircularConversion, NonCircularConversion
 from repro.service import (
-    ExecutionMode,
     LoadGenerator,
     OverflowPolicy,
     Rejected,
@@ -248,86 +247,123 @@ class TestShardStateCarryover:
         assert o1.reason is RejectReason.SOURCE_BLOCKED
 
 
-class TestExecutionModes:
-    def _drive(self, mode, scheme, scheduler):
+class _PerFiberBFA(BreakFirstAvailableScheduler):
+    """BFA without a batch kernel: every fiber takes the per-fiber path."""
+
+    def batch_kernel(self, scheme):
+        return None
+
+
+class _PerFiberFA(FirstAvailableScheduler):
+    def batch_kernel(self, scheme):
+        return None
+
+
+class TestTickPath:
+    """One tick path: a batch-kernel call for every batchable fiber, the
+    per-fiber scheduler for the rest — same grants either way."""
+
+    def _drive(self, scheme, scheduler, **kwargs):
         async def go():
-            service = SchedulingService(
-                8, scheme, scheduler, mode=mode, max_workers=4
-            )
+            service = SchedulingService(8, scheme, scheduler, **kwargs)
             gen = LoadGenerator(
                 service, BernoulliTraffic(8, scheme.k, load=0.85), seed=99
             )
             report = await gen.run(30)
-            counters = service.telemetry.counters("server.")
             await service.stop()
-            return report, counters
+            return report
 
         return run(go())
 
-    def test_threads_matches_inline(self):
+    def test_batch_tick_matches_per_fiber_bfa(self):
         scheme = CircularConversion(12, 1, 1)
-        r_inline, _ = self._drive(
-            ExecutionMode.INLINE, scheme, BreakFirstAvailableScheduler()
-        )
-        r_threads, _ = self._drive(
-            ExecutionMode.THREADS, scheme, BreakFirstAvailableScheduler()
-        )
-        assert r_inline.offered == r_threads.offered
-        assert r_inline.granted == r_threads.granted
-        assert r_inline.rejected_contention == r_threads.rejected_contention
+        r_batch = self._drive(scheme, BreakFirstAvailableScheduler())
+        r_fiber = self._drive(scheme, _PerFiberBFA())
+        assert r_batch.offered == r_fiber.offered
+        assert r_batch.granted == r_fiber.granted
+        assert r_batch.rejected_contention == r_fiber.rejected_contention
 
-    def test_vectorized_matches_inline_bfa(self):
-        scheme = CircularConversion(12, 1, 1)
-        r_inline, _ = self._drive(
-            ExecutionMode.INLINE, scheme, BreakFirstAvailableScheduler()
-        )
-        r_vec, _ = self._drive(
-            ExecutionMode.VECTORIZED, scheme, BreakFirstAvailableScheduler()
-        )
-        assert r_inline.granted == r_vec.granted
-        assert r_inline.rejected_contention == r_vec.rejected_contention
-
-    def test_vectorized_matches_inline_fa(self):
+    def test_batch_tick_matches_per_fiber_fa(self):
         scheme = NonCircularConversion(12, 1, 1)
-        r_inline, _ = self._drive(
-            ExecutionMode.INLINE, scheme, FirstAvailableScheduler()
-        )
-        r_vec, _ = self._drive(
-            ExecutionMode.VECTORIZED, scheme, FirstAvailableScheduler()
-        )
-        assert r_inline.granted == r_vec.granted
-        assert r_inline.rejected_contention == r_vec.rejected_contention
+        r_batch = self._drive(scheme, FirstAvailableScheduler())
+        r_fiber = self._drive(scheme, _PerFiberFA())
+        assert r_batch.granted == r_fiber.granted
+        assert r_batch.rejected_contention == r_fiber.rejected_contention
 
-    def test_vectorized_needs_batchable_scheme(self):
+    def test_full_range_scheme_schedules_per_fiber(self):
         from repro.core.full_range import FullRangeScheduler
         from repro.graphs.conversion import FullRangeConversion
 
-        with pytest.raises(InvalidParameterError):
-            SchedulingService(
-                2,
-                FullRangeConversion(4),
-                FullRangeScheduler(),
-                mode=ExecutionMode.VECTORIZED,
-            )
+        scheme = FullRangeConversion(4)
+        scheduler = FullRangeScheduler()
+        assert scheduler.batch_kernel(scheme) is None
+        assert FirstAvailableScheduler().batch_kernel(scheme) is None
+        assert BreakFirstAvailableScheduler().batch_kernel(scheme) is None
 
-    def test_vectorized_rejects_priority_classes(self):
+        async def go():
+            service = SchedulingService(2, scheme, scheduler)
+            futures = [
+                service.submit_nowait(SlotRequest(i, 0, 0)) for i in range(2)
+            ]
+            await service.tick()
+            await service.stop()
+            return [f.result() for f in futures]
+
+        outcomes = run(go())
+        assert all(isinstance(o, ServiceGrant) for o in outcomes)
+        assert len({o.channel for o in outcomes}) == 2
+
+    def test_accepts_priority_classes(self):
+        async def go():
+            # d = 1: λ0 reaches only channel 0 on output 0.  Output 0
+            # carries two classes (per-fiber layering), output 1 one class
+            # (batch kernel) — both in the same tick.
+            service = SchedulingService(
+                2, CircularConversion(6, 0, 0), BreakFirstAvailableScheduler()
+            )
+            low = service.submit_nowait(SlotRequest(0, 0, 0, priority=1))
+            high = service.submit_nowait(SlotRequest(1, 0, 0, priority=0))
+            other = service.submit_nowait(SlotRequest(0, 1, 1, priority=2))
+            await service.tick()
+            await service.stop()
+            return low.result(), high.result(), other.result()
+
+        low, high, other = run(go())
+        # Class 0 wins the only channel although fixed priority alone
+        # would pick input fiber 0.
+        assert isinstance(high, ServiceGrant) and high.channel == 0
+        assert low.reason is RejectReason.CONTENTION
+        assert isinstance(other, ServiceGrant) and other.channel == 1
+
+    def test_accepts_degradation_plans(self):
+        from repro.faults import ConverterDegradation, FaultPlan
+
+        scheme = CircularConversion(6, 1, 1)
+        plan = FaultPlan(
+            degradations=(ConverterDegradation(0, start=0, duration=5),)
+        )
+
         async def go():
             service = SchedulingService(
-                2,
-                CircularConversion(6, 1, 1),
-                BreakFirstAvailableScheduler(),
-                mode=ExecutionMode.VECTORIZED,
+                3, scheme, BreakFirstAvailableScheduler(), faults=plan
             )
-            # Two shards (outputs 0 and 1) so the batch kernel actually
-            # engages — a single-shard tick falls back to the inline path.
-            service.submit_nowait(SlotRequest(0, 0, 0, priority=1))
-            service.submit_nowait(SlotRequest(1, 0, 1, priority=0))
-            with pytest.raises(SimulationError):
-                await service.tick()
+            # Input 0 is fixed-wavelength: its λ2 request can only use
+            # channel 2.  Output 1 has no degraded input (batch row).
+            degraded = service.submit_nowait(SlotRequest(0, 2, 0))
+            nominal = [
+                service.submit_nowait(SlotRequest(i, 2, 0)) for i in (1, 2)
+            ]
+            healthy = service.submit_nowait(SlotRequest(1, 3, 1))
+            await service.tick()
             await service.stop()
+            return degraded.result(), [f.result() for f in nominal], (
+                healthy.result()
+            )
 
-        run(go())
-
+        degraded, nominal, healthy = run(go())
+        assert isinstance(degraded, ServiceGrant) and degraded.channel == 2
+        assert sorted(o.channel for o in nominal) == [1, 3]
+        assert isinstance(healthy, ServiceGrant)
 
 class TestTelemetryConservation:
     def test_counters_partition_offered_load(self):

@@ -53,6 +53,51 @@ class TestValidation:
             check_positive_int(-2, "wavelengths")
 
 
+class TestIntegerFastPath:
+    """Exact ints return early; every other input takes the full checks
+    and behaves exactly as before the fast path."""
+
+    CHECKS = [
+        lambda v: check_positive_int(v, "x"),
+        lambda v: check_nonnegative_int(v, "x"),
+        lambda v: check_index(v, 5, "x"),
+    ]
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_bool_is_not_an_integer(self, check):
+        for flag in (True, False):
+            with pytest.raises(InvalidParameterError, match="an integer"):
+                check(flag)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_numpy_integers_are_accepted_as_int(self, check):
+        out = check(np.int64(3))
+        assert out == 3 and type(out) is int
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_floats_are_rejected_even_when_whole(self, check):
+        with pytest.raises(InvalidParameterError, match="an integer"):
+            check(3.0)
+
+    def test_exact_int_is_returned_unchanged(self):
+        assert check_index(3, 5, "x") == 3
+        assert check_nonnegative_int(0, "x") == 0
+
+    def test_out_of_range_messages(self):
+        with pytest.raises(InvalidParameterError, match=r">= 1, got 0"):
+            check_positive_int(0, "x")
+        with pytest.raises(InvalidParameterError, match=r">= 0, got -1"):
+            check_nonnegative_int(-1, "x")
+        with pytest.raises(
+            InvalidParameterError, match=r"x must be in \[0, 5\), got 5"
+        ):
+            check_index(5, 5, "x")
+        with pytest.raises(
+            InvalidParameterError, match=r"x must be in \[0, 5\), got -1"
+        ):
+            check_index(np.int64(-1), 5, "x")
+
+
 class TestRng:
     def test_make_rng_from_seed_reproducible(self):
         a = make_rng(7).random(4)
