@@ -3,19 +3,15 @@
 Runs a small, fixed-seed benchmark suite over the layers this repo's
 performance story rests on and writes one JSON document per run:
 
-* ``kernel`` group — the batch kernels (on the process-wide backend
-  selected by :mod:`repro.core.kernels`, recorded in
-  ``meta.kernel_backend``) and the memoized schedulers.  These are pure
-  CPU micro-benchmarks, stable enough to gate in CI: a run whose
-  ``ops_per_s`` drops more than ``--threshold`` (default 30%) below the
-  committed baseline fails the comparison — but only when current and
-  baseline ran the *same* kernel backend; ops/s across backends are not
-  comparable, so a mismatch skips the kernel gate with a printed notice.
-  The ``*_python`` variants pin the pure-Python reference backend, giving
-  every run a machine-local yardstick: ``derived.compiled_fa_speedup`` /
-  ``compiled_bfa_speedup`` are the active backend's ratio over it, and
-  ``--min-compiled-speedup`` (default 10×) gates the BFA ratio whenever
-  the active backend is the Numba-compiled one.
+* ``kernel`` group — the batch kernels and the memoized schedulers.
+  These are pure CPU micro-benchmarks, stable enough to gate in CI: a run
+  whose ``ops_per_s`` drops more than ``--threshold`` (default 30%) below
+  the committed baseline fails the comparison.  ``batch_*_kernel`` time
+  the public entry points; ``batch_*_kernel_python`` time the scalar
+  sweep (:mod:`repro.core.kernels`) called directly on the same inputs.
+* ``sweep`` group — informational, never gated: the scalar and the
+  vectorized sweep of each kernel at M ∈ {16, 128, 1024, 8192} rows, the
+  numbers behind the ``SCALAR_ROWS`` cutover.
 * ``sim`` group — end-to-end slot throughput of the fast engine vs the full
   engine on the same seeded multi-slot traffic.  Not gated on absolute
   speed (CI machines vary) but on the *ratio*: the fast engine must stay at
@@ -70,7 +66,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from repro.core import kernels as kernel_registry
+from repro.core import kernels
 from repro.core.batch import batch_first_available
 from repro.core.batch_bfa import batch_break_first_available
 from repro.core.break_first_available import BreakFirstAvailableScheduler
@@ -89,6 +85,7 @@ from repro.sim.traffic import BernoulliTraffic
 from repro.util.rng import make_rng
 
 KERNEL = "kernel"
+SWEEP = "sweep"
 SIM = "sim"
 SERVICE = "service"
 QOS = "qos"
@@ -99,7 +96,6 @@ MIN_MULTISLOT_SPEEDUP = 5.0
 MAX_JOURNAL_OVERHEAD = 0.10
 MAX_QOS_OVERHEAD = 0.10
 MIN_NET_SPEEDUP = 1.0
-MIN_COMPILED_SPEEDUP = 10.0
 MAX_RESHARD_STALL_TICKS = 20.0
 
 
@@ -136,25 +132,50 @@ def bench_kernels(quick: bool) -> dict[str, dict]:
     def bfa():
         batch_break_first_available(req, avail, 1, 1, check=False)
 
-    # Warm the active backend outside the timed region: on the Numba
-    # backend the first call per signature pays JIT compilation (amortized
-    # across runs by its on-disk cache, but never part of steady state).
-    fa()
-    bfa()
+    def fa_scalar():
+        kernels.fa_scalar(req, avail, 1, 1)
+
+    def bfa_scalar():
+        kernels.bfa_scalar(req, avail, 1, 1)
+
+    return {
+        "batch_fa_kernel": {"group": KERNEL, **_time_calls(fa, calls)},
+        "batch_bfa_kernel": {"group": KERNEL, **_time_calls(bfa, calls)},
+        # Named for the list-based sweep they time (BENCH_PR9 names).
+        "batch_fa_kernel_python": {
+            "group": KERNEL,
+            **_time_calls(fa_scalar, calls),
+        },
+        "batch_bfa_kernel_python": {
+            "group": KERNEL,
+            **_time_calls(bfa_scalar, calls),
+        },
+    }
+
+
+#: Row counts of the sweep group: below, at and far above ``SCALAR_ROWS``.
+SWEEP_ROWS = (16, 128, 1024, 8192)
+
+
+def bench_sweeps(quick: bool) -> dict[str, dict]:
+    """Scalar vs vectorized sweep of each kernel across matrix heights."""
+    k = 16
+    sweeps = {
+        "fa_scalar": kernels.fa_scalar,
+        "fa_vectorized": kernels.fa_vectorized,
+        "bfa_scalar": kernels.bfa_scalar,
+        "bfa_vectorized": kernels.bfa_vectorized,
+    }
     out = {}
-    out["batch_fa_kernel"] = {"group": KERNEL, **_time_calls(fa, calls)}
-    out["batch_bfa_kernel"] = {"group": KERNEL, **_time_calls(bfa, calls)}
-    # The pure-Python reference backend on the same inputs: the in-run
-    # yardstick the compiled-speedup gate divides against.
-    with kernel_registry.use_backend("python"):
-        out["batch_fa_kernel_python"] = {
-            "group": KERNEL,
-            **_time_calls(fa, calls),
-        }
-        out["batch_bfa_kernel_python"] = {
-            "group": KERNEL,
-            **_time_calls(bfa, calls),
-        }
+    for rows in SWEEP_ROWS:
+        req, avail = _kernel_inputs(rows, k, seed=rows)
+        # About the same number of rows per entry at every height.
+        calls = max(3, (4096 if quick else 32768) // rows)
+        for name, sweep in sweeps.items():
+            out[f"sweep_{name}_m{rows}"] = {
+                "group": SWEEP,
+                **_time_calls(lambda: sweep(req, avail, 1, 1), calls),
+            }
     return out
 
 
@@ -639,6 +660,7 @@ def bench_reshard(quick: bool) -> dict[str, dict]:
 #: ``--profile`` targets: one cProfile run per benchmark suite function.
 PROFILE_TARGETS = {
     "kernels": bench_kernels,
+    "sweeps": bench_sweeps,
     "scheduler_cache": bench_scheduler_cache,
     "sims": bench_sims,
     "faults": bench_faults,
@@ -653,6 +675,7 @@ PROFILE_TARGETS = {
 def run_suite(quick: bool) -> dict:
     benchmarks: dict[str, dict] = {}
     benchmarks.update(bench_kernels(quick))
+    benchmarks.update(bench_sweeps(quick))
     benchmarks.update(bench_scheduler_cache(quick))
     benchmarks.update(bench_sims(quick))
     benchmarks.update(bench_faults(quick))
@@ -677,24 +700,12 @@ def run_suite(quick: bool) -> dict:
         benchmarks["net_tcp_two_workers"]["ops_per_s"]
         / benchmarks["net_tcp_single_process"]["ops_per_s"]
     )
-    try:
-        import numba
-
-        numba_version: str | None = numba.__version__
-    except ImportError:
-        numba_version = None
     return {
         "meta": {
             "version": 3,
             "quick": quick,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            # The honest basis of the kernel gates: ops/s from different
-            # kernel backends are not comparable, so compare() refuses to
-            # gate across a backend mismatch, and the compiled-speedup
-            # gate only binds when the Numba backend actually ran.
-            "kernel_backend": kernel_registry.get_backend().name,
-            "numba_version": numba_version,
             # The honest basis of the net gate: with one CPU the worker
             # processes time-share a core and multi-process ticks/s
             # legitimately trails single-process.
@@ -706,14 +717,6 @@ def run_suite(quick: bool) -> dict:
             "journal_mem_overhead": journal_overhead,
             "qos_overhead": qos_overhead,
             "net_multiproc_speedup": net_speedup,
-            "compiled_fa_speedup": (
-                benchmarks["batch_fa_kernel"]["ops_per_s"]
-                / benchmarks["batch_fa_kernel_python"]["ops_per_s"]
-            ),
-            "compiled_bfa_speedup": (
-                benchmarks["batch_bfa_kernel"]["ops_per_s"]
-                / benchmarks["batch_bfa_kernel_python"]["ops_per_s"]
-            ),
             "window_amortization": (
                 benchmarks["service_burst_w8"]["ops_per_s"]
                 / benchmarks["service_burst_w1"]["ops_per_s"]
@@ -727,25 +730,7 @@ def run_suite(quick: bool) -> dict:
 
 
 def compare(current: dict, baseline: dict, threshold: float) -> list[str]:
-    """Regression messages for gated (kernel-group) benchmarks; empty = pass.
-
-    Refuses to gate when the two runs used different kernel backends
-    (``meta.kernel_backend``): a compiled run would trivially pass against
-    a pure-Python baseline and a pure-Python run would spuriously fail
-    against a compiled one — neither is a regression signal.  Baselines
-    written before the backend field existed are treated as the NumPy
-    backend, which is what they ran.
-    """
-    cur_backend = current["meta"].get("kernel_backend", "numpy")
-    base_backend = baseline["meta"].get("kernel_backend", "numpy")
-    if cur_backend != base_backend:
-        print(
-            f"kernel regression gate skipped: current run used the "
-            f"{cur_backend!r} kernel backend but the baseline used "
-            f"{base_backend!r}; ops/s are not comparable across backends "
-            f"(re-baseline with --out on the matching backend)"
-        )
-        return []
+    """Regression messages for gated (kernel-group) benchmarks; empty = pass."""
     failures = []
     for name, base in baseline["benchmarks"].items():
         if base.get("group") != KERNEL:
@@ -791,12 +776,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="required two-worker/single-process TCP "
                              "ticks/s ratio; only enforced when "
                              "os.cpu_count() > 1 (default 1.0)")
-    parser.add_argument("--min-compiled-speedup", type=float,
-                        default=MIN_COMPILED_SPEEDUP,
-                        help="required batch-BFA ops/s ratio of the active "
-                             "kernel backend over the pure-Python reference; "
-                             "only enforced when the numba backend is active "
-                             "(default 10.0)")
     parser.add_argument("--max-reshard-stall", type=float,
                         default=MAX_RESHARD_STALL_TICKS,
                         help="allowed live-migration pause, measured in "
@@ -843,13 +822,16 @@ def main(argv: list[str] | None = None) -> int:
         f"TCP two-worker vs single-process ticks/s: {net_speedup:.2f}x "
         f"({cpus} cpu{'s' if cpus != 1 else ''})"
     )
-    backend = result["meta"]["kernel_backend"]
-    fa_speedup = result["derived"]["compiled_fa_speedup"]
-    bfa_speedup = result["derived"]["compiled_bfa_speedup"]
-    print(
-        f"kernel backend {backend!r} vs python reference: "
-        f"FA {fa_speedup:.1f}x, BFA {bfa_speedup:.1f}x"
-    )
+    print("sweep ms/call (k=16):   rows   scalar  vectorized  scalar/vectorized")
+    for kernel in ("fa", "bfa"):
+        for rows in SWEEP_ROWS:
+            scalar = result["benchmarks"][f"sweep_{kernel}_scalar_m{rows}"]
+            vector = result["benchmarks"][f"sweep_{kernel}_vectorized_m{rows}"]
+            print(
+                f"  {kernel:3s} {rows:20d} {scalar['p50_s'] * 1e3:8.3f} "
+                f"{vector['p50_s'] * 1e3:11.3f} "
+                f"{scalar['p50_s'] / vector['p50_s']:18.2f}x"
+            )
     window_gain = result["derived"]["window_amortization"]
     print(f"tick-window amortization (W=8 vs W=1 ticks/s): {window_gain:.2f}x")
     stall = result["derived"]["reshard_stall_ticks"]
@@ -892,18 +874,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             "net speedup gate skipped: single-CPU machine "
             "(worker processes time-share one core)"
-        )
-    if backend == "numba":
-        if bfa_speedup < args.min_compiled_speedup:
-            print(
-                f"FAIL: compiled BFA speedup {bfa_speedup:.1f}x < "
-                f"{args.min_compiled_speedup}x over the python reference"
-            )
-            status = 1
-    else:
-        print(
-            f"compiled speedup gate skipped: active kernel backend is "
-            f"{backend!r}, not 'numba' (install the 'compiled' extra)"
         )
     if args.compare:
         baseline = json.loads(args.compare.read_text())

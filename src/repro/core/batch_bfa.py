@@ -1,7 +1,7 @@
 """Batch Break-and-First-Available across many output fibers.
 
 Companion to :mod:`repro.core.batch` for *circular* conversion.  The key
-observation enabling the fused/vectorized backends: in the Lemma-2 shifted
+observation enabling the vectorized sweep: in the Lemma-2 shifted
 frame (wavelength offsets ``s = (w - pivot) mod k``, channel positions
 ``p = (b - u - 1) mod k``), the reduced adjacency of the paper's
 three-case analysis collapses to a single closed form that depends only on
@@ -17,11 +17,11 @@ share one interval table per ``t``, and the First Available sweep fuses
 across rows just like :func:`~repro.core.batch.batch_first_available`.
 
 Like its companion, this module is the validating public entry point; the
-sweeps themselves live in the kernel backends (:mod:`repro.core.kernels`)
-and are selected process-wide.  Results are bit-identical to running
+scalar and vectorized sweeps live in :mod:`repro.core.kernels`, picked by
+row count.  Results are bit-identical to running
 :func:`~repro.core.break_first_available.bfa_fast` per row (tested),
 including pivot selection and the first-best tie-break over the ``d``
-break offsets, on every backend.
+break offsets, on both sweeps.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import kernels
-from repro.errors import InvalidParameterError
+from repro.core.batch import prepare_inputs
 
 __all__ = ["batch_break_first_available"]
 
@@ -50,30 +50,7 @@ def batch_break_first_available(
     or ``-1``.  ``O(d k)`` work per row.  ``check=False`` skips input
     validation for pre-validated inner-loop callers.
     """
-    req = np.asarray(request_matrix)
-    if check:
-        if req.ndim != 2:
-            raise InvalidParameterError(
-                f"request matrix must be 2-D (M, k), got shape {req.shape}"
-            )
-        if np.any(req < 0):
-            raise InvalidParameterError("request counts must be nonnegative")
-    m_rows, k = req.shape
-    if available is None:
-        avail = np.ones((m_rows, k), dtype=bool)
-    else:
-        avail = np.ascontiguousarray(available, dtype=bool)
-        if check and avail.shape != (m_rows, k):
-            raise InvalidParameterError(
-                f"availability shape {avail.shape} != request shape {(m_rows, k)}"
-            )
-    if check:
-        if e < 0 or f < 0:
-            raise InvalidParameterError("conversion reaches must be nonnegative")
-        if e + f + 1 > k:
-            raise InvalidParameterError(
-                f"conversion degree {e + f + 1} exceeds k={k}"
-            )
-    return kernels.get_backend().bfa_rows(
-        np.ascontiguousarray(req, dtype=np.int64), avail, int(e), int(f)
-    )
+    req, avail = prepare_inputs(request_matrix, available, e, f, check)
+    if req.shape[0] <= kernels.SCALAR_ROWS:
+        return kernels.bfa_scalar(req, avail, int(e), int(f))
+    return kernels.bfa_vectorized(req, avail, int(e), int(f))

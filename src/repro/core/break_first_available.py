@@ -33,10 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.core import batch_bfa as _batch_bfa
-from repro.core import kernels as _kernels
 from repro.core.base import BatchKernel, Scheduler, make_result
 from repro.core.memo import (
     ScheduleCache,
@@ -177,25 +174,6 @@ def bfa_fast(
     if e + f + 1 > k:
         raise InvalidParameterError(
             f"conversion degree e+f+1={e + f + 1} exceeds k={k}"
-        )
-    backend = _kernels.get_backend()
-    if backend.bfa_row is not None:
-        # Compiled backends fuse the whole O(dk) pass; pairs come back in
-        # bfa_fast's emission order (breaking edge first, then ascending
-        # shifted position) so the Grant list is bit-identical to the
-        # Python loop below (tests/test_kernels.py).
-        wl, ch, n, reduced, skipped = backend.bfa_row(
-            np.ascontiguousarray(request_vector, dtype=np.int64),
-            np.ascontiguousarray(available, dtype=bool),
-            e,
-            f,
-        )
-        return (
-            [
-                Grant(wavelength=int(wl[i]), channel=int(ch[i]))
-                for i in range(n)
-            ],
-            {"reduced_graphs": int(reduced), "pivots_skipped": int(skipped)},
         )
     remaining = list(request_vector)
     stats = {"reduced_graphs": 0, "pivots_skipped": 0}

@@ -23,10 +23,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.core import batch as _batch
-from repro.core import kernels as _kernels
 from repro.errors import InvalidParameterError
 from repro.graphs.conversion import (
     ConversionScheme,
@@ -71,22 +68,6 @@ def first_available_fast(
         raise InvalidParameterError(
             f"availability mask length {len(available)} != k={k}"
         )
-    backend = _kernels.get_backend()
-    if backend.fa_row is not None:
-        # Compiled backends fuse the whole row sweep; bit-identical to the
-        # Python loop below (tests/test_kernels.py), and grants come out in
-        # the same ascending channel order.
-        row = backend.fa_row(
-            np.ascontiguousarray(request_vector, dtype=np.int64),
-            np.ascontiguousarray(available, dtype=bool),
-            e,
-            f,
-        )
-        return [
-            Grant(wavelength=int(w), channel=b)
-            for b, w in enumerate(row.tolist())
-            if w >= 0
-        ]
     remaining = list(request_vector)
     grants: list[Grant] = []
     p = 0  # smallest wavelength that may still have grantable requests

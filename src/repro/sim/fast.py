@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.batch import batch_first_available
 from repro.core.batch_bfa import batch_break_first_available
 from repro.core.memo import ScheduleCache, resolve_cache
@@ -497,7 +496,6 @@ class FastPacketSimulator:
             "k": self.k,
             "scheme": repr(self.scheme),
             "scheduler": "batch-fast-path",
-            "kernel_backend": kernels.get_backend().name,
             "traffic": type(self.traffic).__name__,
             "offered_load": self.traffic.offered_load,
             "disturb": False,

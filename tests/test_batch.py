@@ -31,11 +31,32 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             batch_first_available(np.zeros((1, 4), dtype=int), None, -1, 0)
 
+    def test_rejects_non_integer_counts(self):
+        with pytest.raises(InvalidParameterError, match="integers"):
+            batch_first_available(np.array([[0.5, 1, 0, 0]]), None, 1, 1)
+        with pytest.raises(InvalidParameterError, match="integers"):
+            batch_first_available(np.array([[np.nan, 1, 0, 0]]), None, 1, 1)
+
+    def test_whole_float_counts_accepted(self):
+        counts = [[2, 0, 1, 1]]
+        assert (
+            batch_first_available(np.array(counts, dtype=float), None, 1, 1).tolist()
+            == batch_first_available(np.array(counts), None, 1, 1).tolist()
+        )
+
 
 class TestSemantics:
     def test_empty_matrix(self):
         assign = batch_first_available(np.zeros((3, 4), dtype=int), None, 1, 1)
         assert (assign == -1).all()
+
+    def test_zero_rows_keep_k_columns(self):
+        assign = batch_first_available(np.zeros((0, 4), dtype=int), None, 1, 1)
+        assert assign.shape == (0, 4)
+        assign = batch_first_available(
+            np.zeros((0, 4), dtype=int), None, 1, 1, check=False
+        )
+        assert assign.shape == (0, 4)
 
     def test_single_row_matches_scalar(self):
         vec = [2, 0, 1, 1]

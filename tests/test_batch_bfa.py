@@ -41,6 +41,12 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             batch_break_first_available(np.zeros((1, 4), dtype=int), None, -1, 0)
 
+    def test_rejects_non_integer_counts(self):
+        with pytest.raises(InvalidParameterError, match="integers"):
+            batch_break_first_available(np.array([[0.5, 1, 0, 0]]), None, 1, 1)
+        with pytest.raises(InvalidParameterError, match="integers"):
+            batch_break_first_available(np.array([[np.inf, 1, 0, 0]]), None, 1, 1)
+
 
 class TestSemantics:
     def test_empty(self):
@@ -48,6 +54,12 @@ class TestSemantics:
             np.zeros((3, 5), dtype=int), None, 1, 1
         )
         assert (assign == -1).all()
+
+    def test_zero_rows_keep_k_columns(self):
+        assign = batch_break_first_available(
+            np.zeros((0, 5), dtype=int), None, 1, 1
+        )
+        assert assign.shape == (0, 5)
 
     def test_paper_example_row(self):
         req = np.array([[2, 1, 0, 1, 1, 2]])

@@ -1,22 +1,12 @@
-"""Kernel backend registry and cross-backend bit-identity tests.
+"""Bit-identity of the scalar and vectorized FA/BFA sweeps.
 
-The contract under test (``repro/core/kernels/__init__.py``): every
-backend — numba (compiled), numpy (vectorized), python (list-based) —
-produces byte-identical assign matrices and identical scheduler-path
-grants; selection is loud (a bogus or uninstallable name raises, never a
-silent slow fallback); and the ``SCALAR_ROWS`` cutover is one constant
+The contract under test (``repro/core/kernels.py``): the scalar list
+sweeps, the lock-step vectorized sweeps and the batch entry points that
+pick between them by row count all produce byte-identical assign matrices,
+equal to running the per-row schedulers (``first_available_fast`` /
+``bfa_fast``) row by row; and the ``SCALAR_ROWS`` cutover is one constant
 read at call time.
-
-The numba backend's *source* is pinned even on interpreters without
-numba: ``repro/core/kernels/_impl.py`` conditionally applies ``@njit``,
-so the exact functions CI compiles run here interpreted and are held to
-the same bit-identity bar (including ``bfa_row_kernel``'s emission order
-and stats).
 """
-
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,19 +18,6 @@ from repro.core.batch import batch_first_available
 from repro.core.batch_bfa import batch_break_first_available
 from repro.core.break_first_available import bfa_fast
 from repro.core.first_available import first_available_fast
-from repro.core.kernels import (
-    KernelBackend,
-    _impl,
-    available_backends,
-    get_backend,
-    python_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
-from repro.errors import InvalidParameterError
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _inputs(rows: int, k: int, seed: int):
@@ -51,111 +28,40 @@ def _inputs(rows: int, k: int, seed: int):
 
 
 def _fa_oracle(req, avail, e, f):
-    """Per-row scalar First Available on the pure-Python loop."""
-    with use_backend("python"):
-        rows, k = req.shape
-        out = np.full((rows, k), -1, dtype=np.int64)
-        for m in range(rows):
-            for g in first_available_fast(
-                req[m].tolist(), avail[m].tolist(), e, f
-            ):
-                out[m, g.channel] = g.wavelength
+    """Per-row First Available on the scalar scheduler."""
+    rows, k = req.shape
+    out = np.full((rows, k), -1, dtype=np.int64)
+    for m in range(rows):
+        for g in first_available_fast(req[m].tolist(), avail[m].tolist(), e, f):
+            out[m, g.channel] = g.wavelength
     return out
 
 
 def _bfa_oracle(req, avail, e, f):
-    """Per-row scalar BFA on the pure-Python loop."""
-    with use_backend("python"):
-        rows, k = req.shape
-        out = np.full((rows, k), -1, dtype=np.int64)
-        for m in range(rows):
-            grants, _ = bfa_fast(req[m].tolist(), avail[m].tolist(), e, f)
-            for g in grants:
-                out[m, g.channel] = g.wavelength
+    """Per-row BFA on the scalar scheduler."""
+    rows, k = req.shape
+    out = np.full((rows, k), -1, dtype=np.int64)
+    for m in range(rows):
+        grants, _ = bfa_fast(req[m].tolist(), avail[m].tolist(), e, f)
+        for g in grants:
+            out[m, g.channel] = g.wavelength
     return out
 
 
-class TestRegistry:
-    def test_python_and_numpy_always_available(self):
-        names = available_backends()
-        assert "python" in names
-        assert "numpy" in names
-
-    def test_bogus_name_raises_clearly(self):
-        with pytest.raises(InvalidParameterError) as exc:
-            resolve_backend("bogus")
-        message = str(exc.value)
-        assert "bogus" in message
-        assert "numba, numpy, python" in message
-
-    def test_set_backend_bogus_name_raises(self):
-        with pytest.raises(InvalidParameterError):
-            set_backend("not-a-backend")
-        # The active backend survives a failed switch.
-        assert get_backend().name in kernels.BACKEND_NAMES
-
-    def test_unavailable_backend_raises_not_degrades(self):
-        if "numba" in available_backends():
-            pytest.skip("numba installed: the explicit request succeeds")
-        with pytest.raises(InvalidParameterError) as exc:
-            resolve_backend("numba")
-        assert "compiled" in str(exc.value)
-
-    def test_default_resolution_prefers_best_available(self):
-        backend = resolve_backend(None)
-        if "numba" in available_backends():
-            assert backend.name == "numba"
-        else:
-            assert backend.name == "numpy"
-
-    def test_name_is_normalized(self):
-        assert resolve_backend("  PYTHON ").name == "python"
-
-    def test_set_and_use_backend_restore(self):
-        original = get_backend().name
-        with use_backend("python") as backend:
-            assert backend.name == "python"
-            assert get_backend().name == "python"
-        assert get_backend().name == original
-
-    def test_use_backend_restores_on_error(self):
-        original = get_backend().name
-        with pytest.raises(RuntimeError):
-            with use_backend("python"):
-                raise RuntimeError("boom")
-        assert get_backend().name == original
-
-    def test_versions_reported(self):
-        assert resolve_backend("numpy").version == np.__version__
-        assert resolve_backend("python").version is None
-
-    def test_env_var_bogus_fails_import_loudly(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import repro.core.kernels"],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": str(SRC), "REPRO_KERNEL_BACKEND": "turbo"},
-        )
-        assert proc.returncode != 0
-        assert "turbo" in proc.stderr
-
-    def test_env_var_explicit_name_honored(self):
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.core import kernels; "
-                "print(kernels.get_backend().name)",
-            ],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": str(SRC), "REPRO_KERNEL_BACKEND": "python"},
-        )
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "python"
+#: batch entry point -> (scalar sweep, vectorized sweep, per-row oracle)
+SWEEPS = {
+    batch_first_available: (kernels.fa_scalar, kernels.fa_vectorized, _fa_oracle),
+    batch_break_first_available: (
+        kernels.bfa_scalar,
+        kernels.bfa_vectorized,
+        _bfa_oracle,
+    ),
+}
 
 
 class TestCrossBackendIdentity:
+    """Scalar sweep == vectorized sweep == batch entry point == oracle."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(1, 6),   # rows
@@ -168,14 +74,14 @@ class TestCrossBackendIdentity:
         if e + f + 1 > k:
             return
         req, avail = _inputs(rows, k, seed)
-        fa_expected = _fa_oracle(req, avail, e, f)
-        bfa_expected = _bfa_oracle(req, avail, e, f)
-        for name in available_backends():
-            with use_backend(name):
-                fa = batch_first_available(req, avail, e, f)
-                bfa = batch_break_first_available(req, avail, e, f)
-            assert fa.tolist() == fa_expected.tolist(), (name, req, avail)
-            assert bfa.tolist() == bfa_expected.tolist(), (name, req, avail)
+        for kernel, (scalar, vectorized, oracle) in SWEEPS.items():
+            expected = oracle(req, avail, e, f).tolist()
+            for got in (
+                scalar(req, avail, e, f),
+                vectorized(req, avail, e, f),
+                kernel(req, avail, e, f),
+            ):
+                assert got.tolist() == expected, (kernel.__name__, req, avail)
 
     @pytest.mark.parametrize("rows", [127, 128, 129])
     @pytest.mark.parametrize(
@@ -184,147 +90,37 @@ class TestCrossBackendIdentity:
     def test_scalar_cutover_rows_bit_identical(self, rows, kernel):
         """Pin bit-identity at exactly the SCALAR_ROWS boundary.
 
-        128 is the last matrix the numpy backend hands to the python
-        sweep, 129 the first it vectorizes itself; 127/128/129 must all
-        agree with the python backend byte for byte.
+        128 is the last matrix the batch entry points hand to the scalar
+        sweep, 129 the first they vectorize; 127/128/129 must all agree
+        with both sweeps and the per-row oracle byte for byte.
         """
         assert kernels.SCALAR_ROWS == 128
         req, avail = _inputs(rows, 16, seed=rows)
-        with use_backend("python"):
-            expected = kernel(req, avail, 1, 1)
-        for name in available_backends():
-            with use_backend(name):
-                got = kernel(req, avail, 1, 1)
-            assert got.tolist() == expected.tolist(), (name, rows)
+        scalar, vectorized, oracle = SWEEPS[kernel]
+        expected = oracle(req, avail, 1, 1).tolist()
+        assert kernel(req, avail, 1, 1).tolist() == expected
+        assert scalar(req, avail, 1, 1).tolist() == expected
+        assert vectorized(req, avail, 1, 1).tolist() == expected
 
     def test_scalar_rows_is_read_at_call_time(self, monkeypatch):
-        """The cutover is the single registry constant, not a frozen copy."""
+        """The cutover is the single module constant, not a frozen copy."""
         calls = []
-        real = python_backend.fa_rows
+        real = kernels.fa_scalar
 
         def spy(req, avail, e, f):
             calls.append(req.shape[0])
             return real(req, avail, e, f)
 
-        monkeypatch.setattr(python_backend, "fa_rows", spy)
+        monkeypatch.setattr(kernels, "fa_scalar", spy)
         req, avail = _inputs(8, 8, seed=1)
-        with use_backend("numpy"):
-            monkeypatch.setattr(kernels, "SCALAR_ROWS", 8)
-            batch_first_available(req, avail, 1, 1)
-            assert calls == [8]  # 8 <= 8: delegated to the python sweep
-            monkeypatch.setattr(kernels, "SCALAR_ROWS", 7)
-            batch_first_available(req, avail, 1, 1)
-            assert calls == [8]  # 8 > 7: vectorized, no delegation
+        monkeypatch.setattr(kernels, "SCALAR_ROWS", 8)
+        batch_first_available(req, avail, 1, 1)
+        assert calls == [8]  # 8 <= 8: the scalar sweep
+        monkeypatch.setattr(kernels, "SCALAR_ROWS", 7)
+        batch_first_available(req, avail, 1, 1)
+        assert calls == [8]  # 8 > 7: vectorized, scalar sweep not called
 
 
-def _interpreted_numba_backend() -> KernelBackend:
-    """The numba backend's exact wrappers over the (interpreted) _impl
-    kernels — what CI runs compiled, runnable without numba."""
-
-    def fa_row(req_row, avail_row, e, f):
-        return _impl.fa_rows_kernel(
-            req_row.reshape(1, -1), avail_row.reshape(1, -1), int(e), int(f)
-        )[0]
-
-    return KernelBackend(
-        name="numba",
-        fa_rows=lambda req, avail, e, f: _impl.fa_rows_kernel(
-            req, avail, int(e), int(f)
-        ),
-        bfa_rows=lambda req, avail, e, f: _impl.bfa_rows_kernel(
-            req, avail, int(e), int(f)
-        ),
-        fa_row=fa_row,
-        bfa_row=lambda req_row, avail_row, e, f: _impl.bfa_row_kernel(
-            req_row, avail_row, int(e), int(f)
-        ),
-        version=None,
-    )
-
-
-class TestImplKernels:
-    """The njit-decorated source, held to bit-identity interpreted."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 6),
-        st.integers(1, 8),
-        st.integers(0, 2),
-        st.integers(0, 2),
-        st.integers(0, 2**31 - 1),
-    )
-    def test_impl_rows_match_reference(self, rows, k, e, f, seed):
-        if e + f + 1 > k:
-            return
-        req, avail = _inputs(rows, k, seed)
-        fa = _impl.fa_rows_kernel(req, avail, e, f)
-        bfa = _impl.bfa_rows_kernel(req, avail, e, f)
-        assert fa.tolist() == _fa_oracle(req, avail, e, f).tolist()
-        assert bfa.tolist() == _bfa_oracle(req, avail, e, f).tolist()
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 8),
-        st.integers(0, 2),
-        st.integers(0, 2),
-        st.integers(0, 2**31 - 1),
-    )
-    def test_bfa_row_kernel_order_and_stats(self, k, e, f, seed):
-        """Grant pairs in bfa_fast's exact emission order, same counters."""
-        if e + f + 1 > k:
-            return
-        req, avail = _inputs(1, k, seed)
-        with use_backend("python"):
-            grants, stats = bfa_fast(req[0].tolist(), avail[0].tolist(), e, f)
-        wl, ch, n, reduced, skipped = _impl.bfa_row_kernel(
-            req[0], avail[0], e, f
-        )
-        assert n == len(grants)
-        assert [(int(wl[i]), int(ch[i])) for i in range(n)] == [
-            (g.wavelength, g.channel) for g in grants
-        ]
-        assert reduced == stats["reduced_graphs"]
-        assert skipped == stats["pivots_skipped"]
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(1, 8),
-        st.integers(0, 2),
-        st.integers(0, 2),
-        st.integers(0, 2**31 - 1),
-    )
-    def test_scheduler_row_fast_path(self, k, e, f, seed):
-        """first_available_fast / bfa_fast dispatch through fa_row/bfa_row
-        exactly as they run the Python loop (the numba backend's scheduler
-        fast path, tested interpreted)."""
-        if e + f + 1 > k:
-            return
-        req, avail = _inputs(1, k, seed)
-        with use_backend("python"):
-            fa_expected = first_available_fast(
-                req[0].tolist(), avail[0].tolist(), e, f
-            )
-            bfa_expected = bfa_fast(req[0].tolist(), avail[0].tolist(), e, f)
-        previous = kernels._active
-        kernels._active = _interpreted_numba_backend()
-        try:
-            fa_got = first_available_fast(
-                req[0].tolist(), avail[0].tolist(), e, f
-            )
-            bfa_got = bfa_fast(req[0].tolist(), avail[0].tolist(), e, f)
-        finally:
-            kernels._active = previous
-        assert fa_got == fa_expected
-        assert bfa_got == bfa_expected
-
-
-class TestBackendVisibility:
-    def test_fast_simulator_records_backend(self):
-        from repro.graphs.conversion import CircularConversion
-        from repro.sim.fast import FastPacketSimulator
-        from repro.sim.traffic import BernoulliTraffic
-
-        res = FastPacketSimulator(
-            4, CircularConversion(4, 1, 1), BernoulliTraffic(4, 4, 0.5), seed=3
-        ).run(5)
-        assert res.config["kernel_backend"] == get_backend().name
+class TestReportName:
+    def test_get_backend_reports_numpy(self):
+        assert kernels.get_backend().name == "numpy"
