@@ -47,17 +47,3 @@ def test_fast_path_exact_stream_n16(benchmark):
     assert np.array_equal(
         res.metrics.granted_series(), full.metrics.granted_series()
     )
-
-
-def test_fast_path_vectorized_n16(benchmark):
-    def run():
-        return FastPacketSimulator(
-            N,
-            CircularConversion(K, 1, 1),
-            BernoulliTraffic(N, K, 0.9),
-            seed=1,
-            vectorized_arrivals=True,
-        ).run(SLOTS)
-
-    res = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert res.metrics.n_slots == SLOTS

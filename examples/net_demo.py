@@ -38,7 +38,7 @@ async def demo(journal_dir: str) -> None:
     print(f"shard placement (consistent hash): {service.placement}")
 
     async with NetServer(service) as server:
-        # --- 2. A client connects and negotiates the protocol version.
+        # --- 2. A client connects; the handshake checks the protocol version.
         client = await NetClient.connect("127.0.0.1", server.port)
         print(
             f"handshake: protocol v{client.version}, "

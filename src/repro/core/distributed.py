@@ -66,8 +66,7 @@ class SlotRequest:
     QoS class, 0 = highest (the paper's future work): higher classes are
     scheduled first and lower classes only see their leftover channels.
     ``tenant`` identifies the traffic owner for weighted fair sharing and
-    per-tenant admission/accounting (0 = the default single tenant; the
-    pre-tenant wire and journal encodings map to it).
+    per-tenant admission/accounting (0 = the default single tenant).
     """
 
     input_fiber: int

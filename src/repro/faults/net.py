@@ -119,7 +119,7 @@ class CorruptByte:
 
 @dataclass(frozen=True, slots=True, order=True)
 class DuplicateFrame:
-    """The first client→server SUBMIT/SUBMIT2 frame at-or-after ``slot``
+    """The first client→server SUBMIT frame at-or-after ``slot``
     is relayed twice, byte-identical (exactly-once dedup drill)."""
 
     slot: int

@@ -21,7 +21,7 @@ process:
 * :mod:`repro.net.chaos` — a fault-injecting TCP proxy executing seeded
   :class:`~repro.faults.net.NetFaultPlan` wire faults, paired with
   :class:`~repro.net.client.ResilientNetClient`'s reconnect/redelivery
-  and heartbeat liveness (protocol v4).
+  and heartbeat liveness.
 
 See ``docs/SERVICE.md`` ("Wire protocol" and "Multi-process deployment").
 """
@@ -31,7 +31,7 @@ from repro.net.client import NetClient, ResilientNetClient
 from repro.net.placement import HashRing
 from repro.net.procservice import ProcessShardedService
 from repro.net.protocol import (
-    PROTOCOL_VERSIONS,
+    PROTOCOL_VERSION,
     Bye,
     ErrorMsg,
     Grant,
@@ -47,7 +47,6 @@ from repro.net.protocol import (
     Welcome,
     decode_message,
     encode_message,
-    negotiate_version,
 )
 from repro.net.server import NetServer
 
@@ -65,7 +64,7 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "PROTOCOL_VERSIONS",
+    "PROTOCOL_VERSION",
     "Hello",
     "Welcome",
     "ErrorMsg",
@@ -81,7 +80,6 @@ __all__ = [
     "Pong",
     "encode_message",
     "decode_message",
-    "negotiate_version",
     "NetServer",
     "NetClient",
     "ResilientNetClient",

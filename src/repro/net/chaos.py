@@ -20,7 +20,7 @@ Design notes:
   One-shot events fire at the first eligible frame at-or-after their
   trigger slot, which keeps a plan meaningful even when wall-clock
   timing wobbles.
-* Duplicate delivery is restricted to SUBMIT/SUBMIT2 frames: duplicating
+* Duplicate delivery is restricted to SUBMIT frames: duplicating
   a TICK_ADVANCE would genuinely double-tick the service, which is a
   *different* experiment than "the network delivered a request twice".
 * A partition starts at its trigger slot but heals after ``seconds`` of
@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ChaosProxy", "FrameSplitter"]
 
 _READ_CHUNK = 65536
-_SUBMIT_TAGS = (int(proto.MsgType.SUBMIT), int(proto.MsgType.SUBMIT2))
+_SUBMIT_TAG = int(proto.MsgType.SUBMIT)
 
 
 class FrameSplitter:
@@ -367,7 +367,7 @@ class ChaosProxy:
         # TICK_ADVANCE would double-tick the service — a different bug).
         if (
             direction == "c2s"
-            and tag in _SUBMIT_TAGS
+            and tag == _SUBMIT_TAG
             and self._due(self._duplicates, self.slot)
         ):
             self._duplicates.pop(0)

@@ -88,7 +88,6 @@ class NetClient:
         host: str,
         port: int,
         *,
-        versions: tuple[int, ...] = proto.PROTOCOL_VERSIONS,
         timeout: float = 10.0,
     ) -> "NetClient":
         """Open a connection and complete the version handshake."""
@@ -97,7 +96,7 @@ class NetClient:
         )
         try:
             writer.write(
-                encode_frame(proto.encode_message(proto.Hello(tuple(versions))))
+                encode_frame(proto.encode_message(proto.Hello()))
             )
             await writer.drain()
             decoder = FrameDecoder(max_payload=proto.MAX_MESSAGE)
@@ -115,6 +114,11 @@ class NetClient:
             if not isinstance(msg, proto.Welcome):
                 raise ProtocolError(
                     f"expected WELCOME, got {type(msg).__name__}"
+                )
+            if msg.version != proto.PROTOCOL_VERSION:
+                raise ProtocolError(
+                    f"server answered version {msg.version}, this client "
+                    f"speaks {proto.PROTOCOL_VERSION}"
                 )
         except BaseException:
             writer.close()
@@ -231,11 +235,6 @@ class NetClient:
         :class:`~repro.net.protocol.Reject` (or raises ProtocolError on a
         server-side ERROR)."""
         self._check_open()
-        if request.tenant and self.version < 2:
-            raise ProtocolError(
-                f"tenant {request.tenant} needs protocol >= 2; the server "
-                f"negotiated version {self.version}"
-            )
         seq = self._next_seq()
         fut: "asyncio.Future[proto.Grant | proto.Reject]" = (
             asyncio.get_running_loop().create_future()
@@ -279,16 +278,10 @@ class NetClient:
 
     async def migrate(self, shard: int, destination: int) -> proto.Migrated:
         """Ask the server to live-migrate ``shard`` to worker
-        ``destination`` (protocol ≥ 3 admin op); awaits the MIGRATED
-        report.  Raises :class:`~repro.errors.ProtocolError` if the
-        server refuses (old protocol, bad move, backend without
-        migration support)."""
+        ``destination`` (admin op); awaits the MIGRATED report.  Raises
+        :class:`~repro.errors.ProtocolError` if the server refuses (bad
+        move, backend without migration support)."""
         self._check_open()
-        if self.version < 3:
-            raise ProtocolError(
-                f"MIGRATE needs protocol >= 3; the server negotiated "
-                f"version {self.version}"
-            )
         seq = self._next_seq()
         fut: "asyncio.Future[proto.Migrated]" = (
             asyncio.get_running_loop().create_future()
@@ -304,17 +297,12 @@ class NetClient:
             raise
 
     async def ping(self) -> proto.Pong:
-        """Heartbeat (protocol ≥ 4): awaits the PONG echoing our token.
+        """Heartbeat: awaits the PONG echoing our token.
 
         The PONG carries the server's slot, refreshing
         :attr:`server_slot` — reconnect logic pings before re-driving
         ticks so advancement stays idempotent."""
         self._check_open()
-        if self.version < 4:
-            raise ProtocolError(
-                f"PING needs protocol >= 4; the server negotiated "
-                f"version {self.version}"
-            )
         self._ping_token += 1
         token = self._ping_token
         fut: "asyncio.Future[proto.Pong]" = (
@@ -329,6 +317,14 @@ class NetClient:
             self._ping_waiters.pop(token, None)
             fut.cancel()
             raise
+
+    async def ticks_settled(self) -> None:
+        """Wait until every TICK_ADVANCE sent on this connection has been
+        answered or failed.  :attr:`server_slot` is then the slot the
+        server runs this client's next message at, as long as no other
+        connection drives ticks."""
+        while self._tick_waiters:
+            await asyncio.wait(list(self._tick_waiters))
 
     async def tick(self, count: int = 1) -> proto.TickDone:
         """Ask the server to run ``count`` slot ticks; awaits TICK_DONE."""
@@ -430,7 +426,7 @@ class NetClient:
 
 
 class ResilientNetClient:
-    """A self-healing façade over :class:`NetClient` (protocol ≥ 4).
+    """A self-healing façade over :class:`NetClient`.
 
     Survives the faults :class:`repro.net.chaos.ChaosProxy` injects —
     resets, corruption-killed connections, partitions — by reconnecting
@@ -470,7 +466,6 @@ class ResilientNetClient:
         host: str,
         port: int,
         *,
-        versions: tuple[int, ...] = proto.PROTOCOL_VERSIONS,
         connect_timeout: float = 10.0,
         reconnect_backoff: float = 0.05,
         reconnect_backoff_max: float = 1.0,
@@ -493,7 +488,6 @@ class ResilientNetClient:
             )
         self.host = host
         self.port = port
-        self.versions = tuple(versions)
         self.connect_timeout = connect_timeout
         self.reconnect_backoff = reconnect_backoff
         self.reconnect_backoff_max = reconnect_backoff_max
@@ -505,7 +499,6 @@ class ResilientNetClient:
             else (None if heartbeat_interval is None else 2 * heartbeat_interval)
         )
         self.id_prefix = id_prefix
-        self.version = 0
         self.n_fibers = 0
         self.k = 0
         #: Completed reconnects (0 while the first connection lives).
@@ -594,18 +587,17 @@ class ResilientNetClient:
                 if self._client is not None:
                     old, self._client = self._client, None
                     await old.close()
+                c = None
                 try:
                     c = await NetClient.connect(
-                        self.host,
-                        self.port,
-                        versions=self.versions,
-                        timeout=self.connect_timeout,
+                        self.host, self.port, timeout=self.connect_timeout
                     )
+                    # Resync the server slot before publishing the client:
+                    # a caller on the unlocked fast path above that saw
+                    # server_slot == -1 would re-request ticks the server
+                    # already ran.
+                    await c.ping()
                     self._client = c
-                    if c.version >= 4:
-                        # Resync the server slot before anyone re-drives
-                        # ticks or re-pins a deadline.
-                        await c.ping()
                 except (ProtocolError, *RETRYABLE_NET_ERRORS) as exc:
                     attempts += 1
                     if loop.time() - start + backoff > self.reconnect_deadline:
@@ -617,19 +609,20 @@ class ResilientNetClient:
                     await asyncio.sleep(backoff)
                     backoff = min(backoff * 2, self.reconnect_backoff_max)
                     continue
+                finally:
+                    if c is not None and self._client is not c:
+                        await c.close()
                 if self._had_connection:
                     self.reconnects += 1
                 self._had_connection = True
-                self.version, self.n_fibers, self.k = (
-                    c.version, c.n_fibers, c.k,
-                )
+                self.n_fibers, self.k = c.n_fibers, c.k
                 return c
 
     async def _heartbeat_loop(self) -> None:
         while not self._closed:
             await asyncio.sleep(self.heartbeat_interval)
             c = self._client
-            if c is None or not c.healthy or c.version < 4:
+            if c is None or not c.healthy:
                 continue
             try:
                 await asyncio.wait_for(c.ping(), self.liveness_timeout)
@@ -681,10 +674,14 @@ class ResilientNetClient:
             except ConnectionLostError:
                 self.unavailable_rejects += 1
                 return proto.Reject(0, RejectReason.UNAVAILABLE, slot=-1)
-            if deadline_slot is None and timeout_ticks >= 0:
-                deadline_slot = max(client.server_slot, 0) + timeout_ticks
             tt = timeout_ticks
-            if deadline_slot is not None:
+            if deadline_slot is not None or timeout_ticks >= 0:
+                # The server runs every TICK_ADVANCE already sent on this
+                # connection before this SUBMIT; converting against a
+                # slot view those ticks will move stretches the deadline.
+                await client.ticks_settled()
+                if deadline_slot is None:
+                    deadline_slot = max(client.server_slot, 0) + timeout_ticks
                 tt = max(0, deadline_slot - max(client.server_slot, 0))
             try:
                 reply = await client.submit(
@@ -727,11 +724,6 @@ class ResilientNetClient:
             raise ProtocolError(f"target_slot must be >= 0, got {target_slot}")
         while True:
             client = await self._ensure_connected()
-            if client.version < 4:
-                raise ProtocolError(
-                    "advance_to needs protocol >= 4 (PING slot resync); "
-                    f"the server negotiated version {client.version}"
-                )
             if client.server_slot >= target_slot:
                 return client.server_slot
             try:

@@ -39,7 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.core.distributed import FiberRow, schedule_tick
+from repro.core.distributed import FiberRow, SlotRequest, schedule_tick
 from repro.errors import (
     InvalidParameterError,
     MigrationError,
@@ -187,7 +187,7 @@ def worker_main(
             rows: list[FiberRow] = []
             for o, req_tuples in work:
                 shard = shards[o]
-                requests = [_request_from_wire(t) for t in req_tuples]
+                requests = [SlotRequest(*t) for t in req_tuples]
                 if _slot < shard.next_tick:
                     # Redelivery of a completed tick: answer from the
                     # journal, never re-schedule (busy[] has moved on).
@@ -251,7 +251,7 @@ def worker_main(
             # Same missed-slot catch-up as run_tick (partition healing).
             while shard.next_tick < _slot:
                 shard.advance(shard.next_tick)
-            requests = [_request_from_wire(t) for t in req_tuples]
+            requests = [SlotRequest(*t) for t in req_tuples]
             row = FiberRow(o, requests, shard.availability(), scheduler)
             (outcome,) = schedule_tick(scheme, policy, [row])
             grant_tuples, rejected = _commit_outcome(shard, _slot, outcome)
@@ -389,25 +389,6 @@ def _commit_outcome(
         for _in, _wl, ch, dur in grant_tuples:
             shard.busy[ch] = dur
     return grant_tuples, [(r.input_fiber, r.wavelength) for r in rejected]
-
-
-def _request_from_wire(t: tuple) -> "Any":
-    from repro.core.distributed import SlotRequest
-
-    # Pre-tenant 5-tuples (mixed-version parent/worker during a rolling
-    # restart) map to tenant 0.
-    return SlotRequest(
-        t[0], t[1], t[2], duration=t[3], priority=t[4],
-        tenant=t[5] if len(t) > 5 else 0,
-    )
-
-
-def request_wire_tuple(r) -> tuple[int, int, int, int, int, int]:
-    """The pipe-side encoding of a SlotRequest (plain ints pickle fast)."""
-    return (
-        r.input_fiber, r.wavelength, r.output_fiber, r.duration, r.priority,
-        r.tenant,
-    )
 
 
 # -- parent-side pool --------------------------------------------------------

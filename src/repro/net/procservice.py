@@ -65,9 +65,10 @@ from repro.errors import (
     SimulationError,
     WorkerProcessError,
 )
-from repro.net.procpool import ProcessShardPool, request_wire_tuple
+from repro.net.procpool import ProcessShardPool
 from repro.service.breaker import BreakerConfig, CircuitBreaker
 from repro.service.edge import PendingRequest, SubmissionEdge
+from repro.service.journal import request_tuple
 from repro.service.queue import BoundedQueue, OverflowPolicy, TenantAdmission
 from repro.service.ratelimit import RateLimitConfig, TokenBucketLimiter
 from repro.service.resharding import (
@@ -340,7 +341,7 @@ class ProcessShardedService:
             # so the next reachable shard draws exactly what it would
             # have drawn had the dead shard never been contended.
             for o in sorted(work):
-                wire = [request_wire_tuple(p.request) for p in work[o]]
+                wire = [request_tuple(p.request) for p in work[o]]
                 try:
                     grant_tuples, rejected_pairs, new_state = (
                         await self.pool.call_async(
@@ -384,7 +385,7 @@ class ProcessShardedService:
             }
             for o, survivors in work.items():
                 payloads[self.pool.placement[o]].append(
-                    (o, [request_wire_tuple(p.request) for p in survivors])
+                    (o, [request_tuple(p.request) for p in survivors])
                 )
             calls = list(payloads.items())
             replies = await asyncio.gather(

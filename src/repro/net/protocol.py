@@ -8,11 +8,11 @@ raises a typed :class:`~repro.errors.ProtocolError` on anything it cannot
 act on — an unknown tag, a short body, trailing garbage.  Arbitrary bytes
 must never surface as a bare ``struct.error`` or hang a reader.
 
-Connection lifecycle (version negotiation)::
+Connection lifecycle::
 
     client                                server
       | -- HELLO [versions I speak] -------> |
-      | <-- WELCOME [chosen, n_fibers, k] -- |   (or ERROR + close)
+      | <-- WELCOME [version, n_fibers, k] - |   (or ERROR + close)
       | -- SUBMIT seq=1 ... ---------------> |
       | -- TICK_ADVANCE -------------------> |
       | <-- GRANT seq=1 ... ---------------- |   (resolutions, any order)
@@ -24,41 +24,33 @@ server echoes it on GRANT/REJECT/ERROR so responses can arrive out of
 order.  ``seq == 0`` on an ERROR means the error is connection-level
 (handshake violation, corrupt frame) and the server will close.
 
-Version negotiation: the client's HELLO lists every protocol version it
-speaks; the server picks the highest it also speaks
-(:func:`negotiate_version`) and echoes it in WELCOME, or answers ERROR
-``no common protocol version`` and closes.
+Every client and server is built from this package, so there is exactly
+one message set, :data:`PROTOCOL_VERSION`.  HELLO carries a list of
+versions so that a peer whose list lacks :data:`PROTOCOL_VERSION` (any
+pre-v5 build) still decodes cleanly and is answered ERROR
+``NO_COMMON_VERSION``, then closed.
 
-Versions:
+The message set:
 
-* **1** — the original message set (``SUBMIT`` tag 0x05 carries no
-  tenant; every request is tenant 0).
-* **2** — adds the multi-tenant ``SUBMIT2`` tag (0x0A): the same body as
-  ``SUBMIT`` plus a ``tenant`` u32 after ``priority``, and the
-  ``ADMISSION_SHED`` reject-reason code.  A v2 peer still emits the v1
-  ``SUBMIT`` encoding whenever ``tenant == 0`` — the wire bytes of
-  single-tenant traffic are unchanged, so a v2 client interoperates with
-  a v1 server until it actually uses tenants (the client refuses to send
-  a tenanted request over a v1 connection, and a v2 server downgrades
-  ``ADMISSION_SHED`` to ``DROPPED`` when answering a v1 client).
-* **3** — adds the ``RATE_LIMITED`` reject-reason code (per-tenant
-  token-bucket limiting; a v3 server downgrades it to ``DROPPED`` for
-  v ≤ 2 peers — both mean "refused by load pressure, never scheduled")
-  and the ``MIGRATE`` (0x0B) / ``MIGRATED`` (0x0C) admin pair: a client
-  asks the server to live-migrate one shard to a destination worker and
-  receives the migration report (see :mod:`repro.service.resharding`);
-  servers whose backing service cannot migrate answer ERROR
-  ``BAD_REQUEST``.
-* **4** — liveness: the ``PING`` (0x0D) / ``PONG`` (0x0E) heartbeat pair
-  (the PONG echoes the PING's token and carries the server's current
-  slot, so a reconnecting client resyncs its logical clock from the
-  heartbeat), and the ``UNAVAILABLE`` reject-reason code (the request's
-  backend is partitioned away — a v4 server downgrades it to
-  ``SHARD_DOWN`` for v ≤ 3 peers: both mean "the owner of this output
-  fiber cannot serve you right now").  v4 also pins the deterministic
-  ``timeout_ticks`` semantics: the deadline is ``submit slot +
-  timeout_ticks`` on the *server's* logical clock, so an expired request
-  resolves ``TIMED_OUT`` instead of waiting out a partition.
+* ``HELLO`` / ``WELCOME`` / ``ERROR`` / ``BYE`` — handshake, typed
+  failures, clean shutdown.
+* ``SUBMIT`` (0x05) — one slot request; the body always carries the
+  ``tenant`` u32 after ``priority``.  Tag 0x0A (a retired tenant-only
+  submit) is never reused and decodes as an unknown tag.
+* ``GRANT`` / ``REJECT`` — a submission's outcome; REJECT carries every
+  :class:`~repro.service.server.RejectReason` code verbatim.
+* ``TICK_ADVANCE`` / ``TICK_DONE`` — drive ticks, report the next slot.
+* ``MIGRATE`` (0x0B) / ``MIGRATED`` (0x0C) — admin: live-migrate one
+  shard to a destination worker and receive the migration report (see
+  :mod:`repro.service.resharding`); servers whose backing service cannot
+  migrate answer ERROR ``BAD_REQUEST``.
+* ``PING`` (0x0D) / ``PONG`` (0x0E) — liveness heartbeat; the PONG
+  echoes the PING's token and carries the server's current slot, so a
+  reconnecting client resyncs its logical clock from it.
+
+``timeout_ticks`` on SUBMIT is a deterministic deadline: ``submit slot +
+timeout_ticks`` on the *server's* logical clock, so an expired request
+resolves ``TIMED_OUT`` instead of waiting out a partition.
 """
 
 from __future__ import annotations
@@ -72,7 +64,7 @@ from repro.errors import ProtocolError
 from repro.service.server import RejectReason
 
 __all__ = [
-    "PROTOCOL_VERSIONS",
+    "PROTOCOL_VERSION",
     "MAX_MESSAGE",
     "MsgType",
     "ErrorCode",
@@ -92,13 +84,12 @@ __all__ = [
     "Message",
     "encode_message",
     "decode_message",
-    "negotiate_version",
     "reject_reason_code",
     "reject_reason_from_code",
 ]
 
-#: Every protocol version this build speaks, ascending.
-PROTOCOL_VERSIONS: tuple[int, ...] = (1, 2, 3, 4)
+#: The one protocol version this build speaks.
+PROTOCOL_VERSION = 5
 
 #: Upper bound on one message payload; a protocol frame beyond this is
 #: corruption, not a big message (the largest legal message is a few
@@ -107,7 +98,10 @@ MAX_MESSAGE = 4096
 
 
 class MsgType(enum.IntEnum):
-    """One-byte message tags (never renumber; append only)."""
+    """One-byte message tags (never renumber or reuse; append only).
+
+    0x0A is retired: it carried a tenant-only submit before SUBMIT
+    always had a tenant."""
 
     HELLO = 0x01
     WELCOME = 0x02
@@ -118,23 +112,21 @@ class MsgType(enum.IntEnum):
     REJECT = 0x07
     TICK_ADVANCE = 0x08
     TICK_DONE = 0x09
-    #: Protocol ≥ 2: SUBMIT with a tenant id (see module docstring).
-    SUBMIT2 = 0x0A
-    #: Protocol ≥ 3: admin request — live-migrate one shard.
+    #: Admin request — live-migrate one shard.
     MIGRATE = 0x0B
-    #: Protocol ≥ 3: the MIGRATE's report.
+    #: The MIGRATE's report.
     MIGRATED = 0x0C
-    #: Protocol ≥ 4: liveness probe (client → server).
+    #: Liveness probe (client → server).
     PING = 0x0D
-    #: Protocol ≥ 4: heartbeat reply — echoes the token, carries the
-    #: server's current slot (the reconnect clock-resync source).
+    #: Heartbeat reply — echoes the token, carries the server's current
+    #: slot (the reconnect clock-resync source).
     PONG = 0x0E
 
 
 class ErrorCode(enum.IntEnum):
     """Stable codes carried by :class:`ErrorMsg` (append only)."""
 
-    #: HELLO listed no version the server speaks.
+    #: HELLO did not list :data:`PROTOCOL_VERSION`.
     NO_COMMON_VERSION = 1
     #: A message arrived before (or instead of) the HELLO handshake.
     HANDSHAKE_REQUIRED = 2
@@ -164,9 +156,9 @@ _REASON_CODES: dict[RejectReason, int] = {
     RejectReason.SHARD_DOWN: 7,
     RejectReason.CIRCUIT_OPEN: 8,
     RejectReason.DUPLICATE: 9,
-    RejectReason.ADMISSION_SHED: 10,  # protocol >= 2 (v1 peers get DROPPED)
-    RejectReason.RATE_LIMITED: 11,  # protocol >= 3 (v<=2 peers get DROPPED)
-    RejectReason.UNAVAILABLE: 12,  # protocol >= 4 (v<=3 peers get SHARD_DOWN)
+    RejectReason.ADMISSION_SHED: 10,
+    RejectReason.RATE_LIMITED: 11,
+    RejectReason.UNAVAILABLE: 12,
 }
 _CODE_REASONS = {code: reason for reason, code in _REASON_CODES.items()}
 assert len(_REASON_CODES) == len(RejectReason), "unmapped RejectReason"
@@ -188,14 +180,14 @@ def reject_reason_from_code(code: int) -> RejectReason:
 
 @dataclass(frozen=True, slots=True)
 class Hello:
-    """Client's opener: every protocol version it speaks."""
+    """Client's opener: the protocol versions it speaks."""
 
-    versions: tuple[int, ...] = PROTOCOL_VERSIONS
+    versions: tuple[int, ...] = (PROTOCOL_VERSION,)
 
 
 @dataclass(frozen=True, slots=True)
 class Welcome:
-    """Server's handshake reply: chosen version + interconnect shape."""
+    """Server's handshake reply: its version + interconnect shape."""
 
     version: int
     n_fibers: int
@@ -222,9 +214,7 @@ class Submit:
     """One slot request.  ``seq`` (> 0) correlates the response;
     ``timeout_ticks < 0`` means no deadline; ``request_id`` is the
     optional idempotency key (empty = none); ``tenant`` is the traffic
-    owner (0 = default; non-zero needs a protocol ≥ 2 connection and is
-    carried by the ``SUBMIT2`` tag — tenant-0 submissions keep the v1
-    ``SUBMIT`` bytes)."""
+    owner (0 = default)."""
 
     seq: int
     input_fiber: int
@@ -284,7 +274,7 @@ class TickDone:
 
 @dataclass(frozen=True, slots=True)
 class Migrate:
-    """Protocol ≥ 3 admin request: live-migrate ``shard`` to worker
+    """Admin request: live-migrate ``shard`` to worker
     ``destination`` at the next tick boundary.  ``seq`` (> 0) correlates
     the MIGRATED (or ERROR) reply."""
 
@@ -312,7 +302,7 @@ class Migrated:
 
 @dataclass(frozen=True, slots=True)
 class Ping:
-    """Protocol ≥ 4 liveness probe.  ``token`` correlates the PONG (the
+    """Liveness probe.  ``token`` correlates the PONG (the
     client's liveness detector matches replies to probes, so a stale
     PONG from before a stall never masks a fresh miss)."""
 
@@ -350,8 +340,7 @@ Message = (
 
 _WELCOME = struct.Struct("!HII")
 _ERROR_HEAD = struct.Struct("!QHH")
-_SUBMIT_HEAD = struct.Struct("!QIIIIiqH")
-_SUBMIT2_HEAD = struct.Struct("!QIIIIiIqH")  # + tenant u32 after priority
+_SUBMIT_HEAD = struct.Struct("!QIIIIiIqH")
 _GRANT = struct.Struct("!QIq")
 _REJECT = struct.Struct("!QBq")
 _TICK_ADVANCE = struct.Struct("!I")
@@ -397,24 +386,6 @@ def encode_message(msg: Message) -> bytes:
             raise ProtocolError(
                 f"request_id of {len(rid)} bytes exceeds {_MAX_REQUEST_ID}"
             )
-        if msg.tenant:
-            # Protocol >= 2 encoding; tenant-0 submissions keep the v1
-            # SUBMIT bytes so single-tenant traffic is wire-identical.
-            return (
-                bytes([MsgType.SUBMIT2])
-                + _SUBMIT2_HEAD.pack(
-                    msg.seq,
-                    msg.input_fiber,
-                    msg.wavelength,
-                    msg.output_fiber,
-                    msg.duration,
-                    msg.priority,
-                    msg.tenant,
-                    msg.timeout_ticks,
-                    len(rid),
-                )
-                + rid
-            )
         return (
             bytes([MsgType.SUBMIT])
             + _SUBMIT_HEAD.pack(
@@ -424,6 +395,7 @@ def encode_message(msg: Message) -> bytes:
                 msg.output_fiber,
                 msg.duration,
                 msg.priority,
+                msg.tenant,
                 msg.timeout_ticks,
                 len(rid),
             )
@@ -509,7 +481,7 @@ def decode_message(payload: bytes) -> Message:
         if mtype is MsgType.SUBMIT:
             if len(payload) < 1 + _SUBMIT_HEAD.size:
                 raise ProtocolError("SUBMIT body too short")
-            (seq, inf, wl, outf, dur, prio, timeout, rid_len) = (
+            (seq, inf, wl, outf, dur, prio, tenant, timeout, rid_len) = (
                 _SUBMIT_HEAD.unpack_from(payload, 1)
             )
             rid = payload[1 + _SUBMIT_HEAD.size :]
@@ -519,29 +491,6 @@ def decode_message(payload: bytes) -> Message:
                 )
             if seq == 0:
                 raise ProtocolError("SUBMIT seq must be > 0")
-            return Submit(
-                seq,
-                inf,
-                wl,
-                outf,
-                duration=dur,
-                priority=prio,
-                timeout_ticks=timeout,
-                request_id=rid.decode("utf-8", "replace"),
-            )
-        if mtype is MsgType.SUBMIT2:
-            if len(payload) < 1 + _SUBMIT2_HEAD.size:
-                raise ProtocolError("SUBMIT2 body too short")
-            (seq, inf, wl, outf, dur, prio, tenant, timeout, rid_len) = (
-                _SUBMIT2_HEAD.unpack_from(payload, 1)
-            )
-            rid = payload[1 + _SUBMIT2_HEAD.size :]
-            if len(rid) != rid_len:
-                raise ProtocolError(
-                    "SUBMIT2 request_id length disagrees with header"
-                )
-            if seq == 0:
-                raise ProtocolError("SUBMIT2 seq must be > 0")
             return Submit(
                 seq,
                 inf,
@@ -586,11 +535,3 @@ def decode_message(payload: bytes) -> Message:
     except struct.error as exc:  # defensive: any unpack slip is typed
         raise ProtocolError(f"malformed {mtype.name} body: {exc}") from exc
 
-
-def negotiate_version(
-    client_versions: tuple[int, ...] | list[int],
-    server_versions: tuple[int, ...] = PROTOCOL_VERSIONS,
-) -> int | None:
-    """Highest protocol version both sides speak, or None."""
-    common = set(client_versions) & set(server_versions)
-    return max(common) if common else None

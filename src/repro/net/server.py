@@ -9,28 +9,29 @@ frames (:mod:`repro.util.framing`).
 
 Per-connection discipline:
 
-* the first message must be HELLO; the server answers WELCOME with the
-  negotiated version and the interconnect shape, or ERROR
+* the first message must be HELLO; the server answers WELCOME with
+  :data:`~repro.net.protocol.PROTOCOL_VERSION` and the interconnect
+  shape, or — when the HELLO does not list that version — ERROR
   ``NO_COMMON_VERSION`` and closes;
 * SUBMIT resolves asynchronously — the response (GRANT / REJECT /
   ERROR with the same ``seq``) is written when the service resolves the
   future, so responses may interleave with later requests;
 * TICK_ADVANCE runs ticks under one server-wide lock (ticks are global,
   connections must not interleave halves of them) and answers TICK_DONE;
-* PING (protocol ≥ 4) answers PONG carrying the current slot — the
+* PING answers PONG carrying the current slot — the
   heartbeat that feeds the client-side liveness detector and resyncs a
   reconnecting client's logical clock;
 * corrupt frames or protocol violations get a best-effort ERROR with
   ``seq == 0`` and the connection dies — a reader is never left hanging.
 
-Liveness discipline (protocol v4, PR 10):
+Liveness discipline:
 
 * ``handshake_timeout`` — a peer that connects and never completes the
   HELLO within the deadline is shed (best-effort ERROR
   ``HANDSHAKE_REQUIRED`` + close), so a half-open socket cannot pin a
   connection task forever;
 * ``idle_timeout`` — a greeted connection that stays silent longer than
-  the window is reaped (best-effort BYE + close).  v4 clients heartbeat
+  the window is reaped (best-effort BYE + close).  Clients heartbeat
   (PING counts as traffic), so only dead or wedged peers are reaped.
 """
 
@@ -47,7 +48,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.net import protocol as proto
-from repro.service.server import Rejected, RejectReason, ServiceGrant
+from repro.service.server import Rejected, ServiceGrant
 from repro.util.framing import FrameDecoder, encode_frame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,15 +60,14 @@ _READ_CHUNK = 65536
 
 
 class _Conn:
-    """Per-connection state: writer, negotiated version, watched futures."""
+    """Per-connection state: writer and watched futures."""
 
-    __slots__ = ("writer", "watched", "closed", "version")
+    __slots__ = ("writer", "watched", "closed")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
         self.watched: "set[asyncio.Future]" = set()
         self.closed = False
-        self.version = max(proto.PROTOCOL_VERSIONS)
 
     def send(self, msg: "Message") -> None:
         if not self.closed:
@@ -264,21 +264,23 @@ class NetServer:
             )
             await self._flush(conn)
             return False
-        version = proto.negotiate_version(msg.versions)
-        if version is None:
+        if proto.PROTOCOL_VERSION not in msg.versions:
             conn.send(
                 proto.ErrorMsg(
                     0,
                     proto.ErrorCode.NO_COMMON_VERSION,
-                    f"server speaks {list(proto.PROTOCOL_VERSIONS)}, "
+                    f"server speaks version {proto.PROTOCOL_VERSION}, "
                     f"client offered {list(msg.versions)}",
                 )
             )
             await self._flush(conn)
             return False
-        conn.version = version
         conn.send(
-            proto.Welcome(version, self.service.n_fibers, self.service.scheme.k)
+            proto.Welcome(
+                proto.PROTOCOL_VERSION,
+                self.service.n_fibers,
+                self.service.scheme.k,
+            )
         )
         await self._flush(conn)
         return True
@@ -299,17 +301,6 @@ class NetServer:
             await self._handle_migrate(conn, msg)
             return True
         if isinstance(msg, proto.Ping):
-            if conn.version < 4:
-                conn.send(
-                    proto.ErrorMsg(
-                        0,
-                        proto.ErrorCode.BAD_REQUEST,
-                        f"PING needs protocol >= 4, connection negotiated "
-                        f"version {conn.version}",
-                    )
-                )
-                await self._flush(conn)
-                return False
             conn.send(proto.Pong(msg.token, self.service.slot))
             return True
         conn.send(
@@ -323,21 +314,11 @@ class NetServer:
         return False
 
     async def _handle_migrate(self, conn: _Conn, msg: proto.Migrate) -> None:
-        """Protocol ≥ 3 admin op: live-migrate one shard, reply MIGRATED.
+        """Admin op: live-migrate one shard, reply MIGRATED.
 
         Runs under the tick lock — the migration engine's quiesce phase
         *is* the tick boundary, so no tick may interleave with it.
         """
-        if conn.version < 3:
-            conn.send(
-                proto.ErrorMsg(
-                    msg.seq,
-                    proto.ErrorCode.BAD_REQUEST,
-                    f"MIGRATE needs protocol >= 3, connection negotiated "
-                    f"version {conn.version}",
-                )
-            )
-            return
         migrate = getattr(self.service, "migrate_shard", None)
         if migrate is None:
             conn.send(
@@ -370,17 +351,6 @@ class NetServer:
         )
 
     def _handle_submit(self, conn: _Conn, msg: proto.Submit) -> None:
-        if msg.tenant and conn.version < 2:
-            # A v1 peer has no SUBMIT2 and should never have sent one.
-            conn.send(
-                proto.ErrorMsg(
-                    msg.seq,
-                    proto.ErrorCode.BAD_REQUEST,
-                    f"tenant {msg.tenant} needs protocol >= 2, connection "
-                    f"negotiated version {conn.version}",
-                )
-            )
-            return
         # timeout_ticks is a deterministic slot deadline (submit slot +
         # timeout_ticks on the server's logical clock), not a wall-clock
         # conversion: the same schedule expires the same requests at the
@@ -416,24 +386,10 @@ class NetServer:
                 conn.send(proto.Grant(seq, outcome.channel, outcome.slot))
             else:
                 assert isinstance(outcome, Rejected)
-                reason = outcome.reason
-                if reason is RejectReason.ADMISSION_SHED and conn.version < 2:
-                    # v1 peers predate the code; the closest v1 semantic
-                    # is DROPPED (lost to queue pressure).
-                    reason = RejectReason.DROPPED
-                elif reason is RejectReason.RATE_LIMITED and conn.version < 3:
-                    # Same downgrade for the v3 rate-limiter code: to a
-                    # v<=2 peer it is a load-pressure drop.
-                    reason = RejectReason.DROPPED
-                elif reason is RejectReason.UNAVAILABLE and conn.version < 4:
-                    # v<=3 peers predate the partition code; SHARD_DOWN is
-                    # the closest older semantic (the owner of this output
-                    # fiber cannot serve you right now).
-                    reason = RejectReason.SHARD_DOWN
                 conn.send(
                     proto.Reject(
                         seq,
-                        reason,
+                        outcome.reason,
                         -1 if outcome.slot is None else outcome.slot,
                     )
                 )

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.errors import InvalidParameterError
+from repro.errors import DurabilityError, InvalidParameterError
 from repro.service.journal import (
     FileJournal,
     JournalRecord,
@@ -111,9 +111,8 @@ class RecoveredShardState:
     ``"journal"`` (no snapshot yet — replayed from tick 0), or ``"cold"``
     (no durable state at all: the shard is genuinely fresh).  ``tick`` is
     the tick the state is valid *entering*; ``queue`` holds request
-    6-tuples (:func:`repro.service.journal.request_tuple` form; pre-tenant
-    5-value records are normalized to tenant 0) in FIFO order, which the
-    server cross-checks against the surviving live queue.
+    6-tuples (:func:`repro.service.journal.request_tuple` form) in FIFO
+    order, which the server cross-checks against the surviving live queue.
     """
 
     shard: int
@@ -139,7 +138,9 @@ def replay_journal(
     snapshot); ``FAULT`` and ``SNAPSHOT`` records are audit-only.  The
     function is pure redo: ``GRANT`` books a channel, ``ADVANCE`` ages
     every channel by one slot and moves the tick forward, ``ACCEPT`` /
-    ``DEQUEUE`` rebuild the queue.
+    ``DEQUEUE`` rebuild the queue.  An ``ACCEPT`` that does not carry
+    exactly the six :func:`~repro.service.journal.request_tuple` values
+    raises :class:`~repro.errors.DurabilityError`.
 
     A batched ``ADVANCE`` (``values = (count,)``, written by
     :meth:`~repro.service.journal.ShardJournal.flush_deferred`) ages every
@@ -150,9 +151,7 @@ def replay_journal(
     """
     if snapshot is not None:
         busy = list(snapshot.busy)
-        queue: deque[tuple[int, ...]] = deque(
-            _widen(tuple(entry)) for entry in snapshot.queue
-        )
+        queue: deque[tuple[int, ...]] = deque(snapshot.queue)
         tick = start = snapshot.tick
     else:
         busy = [0] * k
@@ -182,7 +181,12 @@ def replay_journal(
             for i in range(0, len(vals), 4):
                 busy[vals[i + 2]] = vals[i + 3]
         elif rec.type is RecordType.ACCEPT:
-            queue.append(_widen(rec.values))
+            if len(rec.values) != 6:
+                raise DurabilityError(
+                    f"ACCEPT record at tick {rec.tick} carries "
+                    f"{len(rec.values)} values, expected 6"
+                )
+            queue.append(rec.values)
         elif rec.type is RecordType.DEQUEUE:
             for _ in range(rec.values[0]):
                 if queue:
@@ -193,11 +197,6 @@ def replay_journal(
                 del queue[idx]
         # FAULT / SNAPSHOT: no state effect.
     return busy, tuple(queue), tick, replayed
-
-
-def _widen(values: tuple[int, ...]) -> tuple[int, ...]:
-    """Normalize a pre-tenant 5-value request tuple to the 6-value form."""
-    return values if len(values) != 5 else values + (0,)
 
 
 class DurabilityManager:

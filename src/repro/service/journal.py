@@ -41,9 +41,9 @@ SNAPSHOT    (snapshot tick,)                                none (marker)
 EVICT       (index,)                                        del queue[idx]
 ==========  ==============================================  =============
 
-``ACCEPT`` records written before the tenant dimension existed carry five
-values; replay and :func:`request_from_tuple` accept both widths (tenant
-defaults to 0), so old journals recover on new code.  ``EVICT`` is the
+Every journal is written by this package, so ``ACCEPT`` has one form: the
+six :func:`request_tuple` values.  Replay raises
+:class:`~repro.errors.DurabilityError` on any other count.  ``EVICT`` is the
 admission-control shed: unlike ``DEQUEUE`` (which only pops the front),
 it removes the victim at an arbitrary queue index chosen by the
 per-tenant shed policy (:meth:`repro.service.queue.BoundedQueue.plan_admit`).
@@ -222,19 +222,10 @@ def request_tuple(request: "SlotRequest") -> tuple[int, int, int, int, int, int]
 
 
 def request_from_tuple(values: Sequence[int]) -> "SlotRequest":
-    """Inverse of :func:`request_tuple`.
-
-    Accepts both the current 6-value form and the pre-tenant 5-value form
-    (journals and snapshots written by older builds), mapping the latter
-    to tenant 0.
-    """
+    """Inverse of :func:`request_tuple` (exactly six values)."""
     from repro.core.distributed import SlotRequest
 
-    if len(values) == 5:
-        i, w, o, duration, priority = values
-        tenant = 0
-    else:
-        i, w, o, duration, priority, tenant = values
+    i, w, o, duration, priority, tenant = values
     return SlotRequest(
         int(i), int(w), int(o), int(duration), int(priority), int(tenant)
     )

@@ -130,8 +130,7 @@ class RejectReason(enum.Enum):
     #: itself crashed and its state is gone until supervision heals it),
     #: the shard's state is intact somewhere we cannot currently reach;
     #: the typed reject is the graceful degradation, and retrying after
-    #: the partition heals is expected to succeed.  Wire protocol ≥ 4;
-    #: older peers see ``SHARD_DOWN``.
+    #: the partition heals is expected to succeed.
     UNAVAILABLE = "unavailable"
 
 

@@ -12,10 +12,10 @@ Encoding is a single CRC-guarded blob::
     body = shard i64 | tick i64 | k u32 | n_queue u32 | policy_len u32
            | busy (k × i64) | queue (n_queue × 6 i64) | policy JSON bytes
 
-Version history: v1 queue entries were 5 ints (no tenant); v2 appends the
-tenant as a sixth.  The decoder reads both — v1 entries surface widened
-to the 6-int form with tenant 0, so pre-tenant snapshot files recover on
-current code.
+Every snapshot is written by this package, so the decoder reads exactly
+one version (2; queue entries carry the tenant as the sixth int).  Any
+other version, v1's 5-int entries included, raises
+:class:`~repro.errors.DurabilityError`.
 
 Corruption anywhere raises :class:`~repro.errors.DurabilityError` on
 decode; stores therefore *skip* invalid snapshots when asked for the
@@ -47,8 +47,7 @@ __all__ = [
 
 _MAGIC = b"RSNP"
 _VERSION = 2
-#: Queue-entry width (i64s) per snapshot version (v1 predates tenants).
-_ENTRY_WIDTH = {1: 5, 2: 6}
+_ENTRY = struct.Struct("!6q")  # one queue entry (request_tuple form)
 _PREFIX = struct.Struct("!4sHII")  # magic, version, body length, CRC32(body)
 _BODY_HEAD = struct.Struct("!qqIII")  # shard, tick, k, n_queue, policy_len
 
@@ -82,9 +81,7 @@ def encode_snapshot(snapshot: ShardSnapshot) -> bytes:
     if k:
         body += struct.pack(f"!{k}q", *snapshot.busy)
     for entry in snapshot.queue:
-        if len(entry) == 5:  # pre-tenant caller: widen to the v2 form
-            entry = tuple(entry) + (0,)
-        body += struct.pack("!6q", *entry)
+        body += _ENTRY.pack(*entry)
     body += policy
     return _PREFIX.pack(_MAGIC, _VERSION, len(body), zlib.crc32(body)) + body
 
@@ -98,8 +95,7 @@ def decode_snapshot(data: bytes) -> ShardSnapshot:
         raise DurabilityError(f"snapshot too short: {len(data)} bytes") from exc
     if magic != _MAGIC:
         raise DurabilityError(f"bad snapshot magic {magic!r}")
-    entry_width = _ENTRY_WIDTH.get(version)
-    if entry_width is None:
+    if version != _VERSION:
         raise DurabilityError(f"unsupported snapshot version {version}")
     body = data[_PREFIX.size : _PREFIX.size + length]
     if len(body) != length or zlib.crc32(body) != crc:
@@ -110,13 +106,9 @@ def decode_snapshot(data: bytes) -> ShardSnapshot:
         busy = struct.unpack_from(f"!{k}q", body, off) if k else ()
         off += 8 * k
         queue = []
-        entry_struct = struct.Struct(f"!{entry_width}q")
         for _ in range(n_queue):
-            entry = entry_struct.unpack_from(body, off)
-            if entry_width == 5:  # v1: widen to the tenant-carrying form
-                entry = entry + (0,)
-            queue.append(entry)
-            off += entry_struct.size
+            queue.append(_ENTRY.unpack_from(body, off))
+            off += _ENTRY.size
         policy_bytes = body[off : off + policy_len]
         if len(policy_bytes) != policy_len:
             raise DurabilityError("snapshot policy state truncated")

@@ -103,9 +103,7 @@ def _make_run(args: argparse.Namespace):
                     "--fast supports plain Bernoulli duration-1 traffic "
                     "without --disturb"
                 )
-            fast = FastPacketSimulator(
-                args.fibers, scheme, traffic, seed=seed, vectorized_arrivals=True
-            )
+            fast = FastPacketSimulator(args.fibers, scheme, traffic, seed=seed)
             return fast.run(args.slots, warmup=args.warmup)
         sim = SlottedSimulator(
             args.fibers,

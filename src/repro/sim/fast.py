@@ -69,10 +69,6 @@ class FastPacketSimulator:
     RandomPolicy` the full engine would use — which is what makes the two
     engines bit-identical on one seed.
 
-    ``vectorized_arrivals`` is a legacy flag: both modes now consume the
-    traffic model's array-form draw, so it only retains its strictness —
-    requiring plain uniform duration-1 Bernoulli traffic.
-
     ``cache`` memoizes per-output assignment rows (``True`` = the shared
     default :class:`~repro.core.memo.ScheduleCache`, ``None``/``False`` =
     off, or a private instance).  Purely a speed knob: results are
@@ -93,7 +89,6 @@ class FastPacketSimulator:
         scheme: ConversionScheme,
         traffic: TrafficModel,
         seed: int | None = None,
-        vectorized_arrivals: bool = False,
         policy: GrantPolicy | None = None,
         cache: ScheduleCache | bool | None = True,
         faults: "FaultInjector | FaultPlan | None" = None,
@@ -118,21 +113,6 @@ class FastPacketSimulator:
                 "converter degradation; use SlottedSimulator for plans "
                 "with ConverterDegradation events"
             )
-        self.vectorized_arrivals = bool(vectorized_arrivals)
-        if self.vectorized_arrivals:
-            from repro.sim.traffic import BernoulliTraffic, UniformDestinations
-
-            if not (
-                isinstance(traffic, BernoulliTraffic)
-                and isinstance(traffic.destinations, UniformDestinations)
-                and isinstance(traffic.durations, DeterministicDuration)
-                and traffic.durations.slots == 1
-                and traffic._priority_p is None
-            ):
-                raise SimulationError(
-                    "vectorized_arrivals requires plain BernoulliTraffic "
-                    "(uniform destinations, duration 1, single class)"
-                )
         # Mirror SlottedSimulator's stream layout (traffic, then policy) so
         # both engines see identical arrivals AND identical policy draws
         # from the same seed.

@@ -35,7 +35,7 @@ from repro.service import (
 )
 from repro.service.journal import JournalRecord, RecordType
 from repro.service.queue import OverflowPolicy
-from repro.service.durability import replay_journal
+from repro.service.durability import DurabilityManager, replay_journal
 from repro.service.snapshot import (
     FileSnapshotStore,
     MemorySnapshotStore,
@@ -431,10 +431,10 @@ class TestSnapshotCodec:
 
 
 class TestTenantBackCompat:
-    """Pre-tenant durable state must recover on current code: v1 snapshots
-    and 5-value ACCEPT records both surface widened with tenant 0."""
+    """Durable state has one, tenant-carrying, form: v1 snapshots and
+    5-value ACCEPT records are refused with a typed error, never widened."""
 
-    def test_v1_snapshot_decodes_with_tenant_zero(self):
+    def test_v1_snapshot_rejected(self):
         import json
         import struct
         import zlib
@@ -453,9 +453,8 @@ class TestTenantBackCompat:
             snap_mod._PREFIX.pack(snap_mod._MAGIC, 1, len(body), zlib.crc32(body))
             + body
         )
-        snap = decode_snapshot(blob)
-        assert snap.shard == 1 and snap.tick == 7 and snap.busy == busy
-        assert snap.queue == tuple(entry + (0,) for entry in queue_v1)
+        with pytest.raises(DurabilityError, match="snapshot version 1"):
+            decode_snapshot(blob)
 
     def test_unknown_snapshot_version_rejected(self):
         import struct
@@ -471,15 +470,14 @@ class TestTenantBackCompat:
         with pytest.raises(DurabilityError):
             decode_snapshot(blob)
 
-    def test_five_value_accept_replays_with_tenant_zero(self):
-        """A journal written before the tenant column replays cleanly."""
-        records = [
-            JournalRecord(RecordType.ACCEPT, 0, (0, 1, 2, 3, 0)),
-            JournalRecord(RecordType.ACCEPT, 0, (1, 4, 2, 1, 1, 9)),
-        ]
-        _, queue, _, replayed = replay_journal(records, None, K)
-        assert replayed == 2
-        assert queue == ((0, 1, 2, 3, 0, 0), (1, 4, 2, 1, 1, 9))
+    def test_five_value_accept_raises_on_recovery(self):
+        """A journal holding a pre-tenant ACCEPT fails recovery typed."""
+        manager = DurabilityManager(DurabilityConfig(), 1, K)
+        journal = manager.journal(0)
+        journal.append(JournalRecord(RecordType.ACCEPT, 0, (1, 4, 0, 1, 1, 9)))
+        journal.append(JournalRecord(RecordType.ACCEPT, 0, (0, 1, 0, 3, 0)))
+        with pytest.raises(DurabilityError, match="5 values, expected 6"):
+            manager.recover(0)
 
     def test_evict_record_replays_the_shed(self):
         """EVICT(i) must reproduce the admission decision on replay: the

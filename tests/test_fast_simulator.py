@@ -18,7 +18,7 @@ from repro.sim.duration import (
 )
 from repro.sim.engine import SlottedSimulator
 from repro.sim.fast import FastPacketSimulator
-from repro.sim.traffic import BernoulliTraffic, HotspotDestinations
+from repro.sim.traffic import BernoulliTraffic
 
 
 class TestValidation:
@@ -61,24 +61,6 @@ class TestValidation:
         )
         with pytest.raises(SimulationError, match="QoS class"):
             sim.run(20)
-
-    def test_vectorized_requires_plain_bernoulli(self):
-        with pytest.raises(SimulationError, match="vectorized_arrivals"):
-            FastPacketSimulator(
-                2,
-                CircularConversion(4, 1, 1),
-                BernoulliTraffic(
-                    2, 4, 0.5, destinations=HotspotDestinations(2, 0, 0.5)
-                ),
-                vectorized_arrivals=True,
-            )
-        with pytest.raises(SimulationError, match="vectorized_arrivals"):
-            FastPacketSimulator(
-                2,
-                CircularConversion(4, 1, 1),
-                BernoulliTraffic(2, 4, 0.5, priority_weights=[1, 1]),
-                vectorized_arrivals=True,
-            )
 
 
 class TestExactEquivalence:
@@ -179,13 +161,9 @@ class TestVectorizedMode:
     def test_statistically_consistent(self):
         scheme = CircularConversion(8, 1, 1)
         losses = []
-        for seed, vectorized in ((3, True), (3, False)):
+        for seed in (3, 4):
             sim = FastPacketSimulator(
-                8,
-                scheme,
-                BernoulliTraffic(8, 8, 0.9),
-                seed=seed,
-                vectorized_arrivals=vectorized,
+                8, scheme, BernoulliTraffic(8, 8, 0.9), seed=seed
             )
             losses.append(sim.run(400, warmup=20).metrics.loss_probability)
         assert abs(losses[0] - losses[1]) < 0.02
@@ -197,7 +175,6 @@ class TestVectorizedMode:
                 CircularConversion(8, 1, 1),
                 BernoulliTraffic(4, 8, 0.8),
                 seed=6,
-                vectorized_arrivals=True,
             ).run(50).summary()
 
         assert run() == run()
@@ -208,7 +185,6 @@ class TestVectorizedMode:
             CircularConversion(8, 1, 1),
             BernoulliTraffic(4, 8, 1.0),
             seed=2,
-            vectorized_arrivals=True,
         ).run(60)
         m = res.metrics
         assert m.granted + m.rejected == m.submitted

@@ -146,10 +146,10 @@ class TestCodec:
         assert len(t) == 6 and t[-1] == 7
         assert request_from_tuple(t) == r
 
-    def test_request_from_pre_tenant_tuple_defaults_to_zero(self):
-        # Journals written before the tenant column store 5-value tuples.
-        r = request_from_tuple((2, 5, 1, 3, 4))
-        assert r == SlotRequest(2, 5, 1, duration=3, priority=4, tenant=0)
+    def test_request_from_pre_tenant_tuple_rejected(self):
+        # One request-tuple form: five values are not widened to tenant 0.
+        with pytest.raises(ValueError):
+            request_from_tuple((2, 5, 1, 3, 4))
 
 
 # -- backends ----------------------------------------------------------------

@@ -35,7 +35,7 @@ pytestmark = [pytest.mark.chaos, pytest.mark.net]
 
 from repro.core.distributed import SlotRequest
 from repro.core.first_available import FirstAvailableScheduler
-from repro.errors import InvalidParameterError, ProtocolError
+from repro.errors import InvalidParameterError
 from repro.faults.net import (
     ConnReset,
     CorruptByte,
@@ -210,29 +210,6 @@ class TestPingPong:
                 await client.tick(3)
                 assert client.server_slot == 3
                 assert (await client.ping()).slot == 3
-            finally:
-                await client.close()
-                await server.stop()
-                await service.stop()
-
-        run(go())
-
-    def test_ping_is_fenced_to_v4(self):
-        async def go():
-            service = _service()
-            server = NetServer(service)
-            await server.start()
-            client = await NetClient.connect(
-                "127.0.0.1", server.port, versions=(1, 2, 3)
-            )
-            try:
-                assert client.version == 3
-                with pytest.raises(ProtocolError, match="protocol >= 4"):
-                    await client.ping()
-                # A v3 peer that puts PING on the wire anyway is refused.
-                client._send(proto.Ping(1))
-                with pytest.raises(ProtocolError):
-                    await client.tick(1)
             finally:
                 await client.close()
                 await server.stop()

@@ -8,13 +8,15 @@ unhandled exception (and, combined with the strict
 :class:`~repro.util.framing.FrameDecoder`, never a hung reader).
 """
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.net.protocol import (
-    PROTOCOL_VERSIONS,
+    PROTOCOL_VERSION,
     Bye,
     ErrorMsg,
     Grant,
@@ -31,7 +33,6 @@ from repro.net.protocol import (
     Welcome,
     decode_message,
     encode_message,
-    negotiate_version,
     reject_reason_code,
     reject_reason_from_code,
 )
@@ -67,7 +68,7 @@ messages_st = st.one_of(
         priority=st.integers(min_value=-(2**31), max_value=2**31 - 1),
         timeout_ticks=_I64,
         request_id=st.text(max_size=32),
-        tenant=_U32,  # 0 exercises the v1 SUBMIT bytes, >0 SUBMIT2
+        tenant=_U32,
     ),
     st.builds(Grant, seq=_SEQ, channel=_U32, slot=_I64),
     st.builds(
@@ -112,7 +113,6 @@ class TestRoundTrip:
             MsgType.ERROR,
             MsgType.BYE,
             MsgType.SUBMIT,
-            MsgType.SUBMIT2,  # Submit with tenant != 0 encodes as SUBMIT2
             MsgType.GRANT,
             MsgType.REJECT,
             MsgType.TICK_ADVANCE,
@@ -178,6 +178,13 @@ class TestHostileBytes:
         with pytest.raises(ProtocolError):
             decode_message(b"\xfe")
 
+    def test_retired_tag_0x0a_is_unknown(self):
+        # 0x0A once carried a tenant-only submit; a well-formed body of
+        # that layout must not decode into anything.
+        body = struct.pack("!QIIIIiIqH", 1, 0, 0, 0, 1, 0, 5, -1, 0)
+        with pytest.raises(ProtocolError, match="unknown message tag 0x0a"):
+            decode_message(b"\x0a" + body)
+
     def test_trailing_garbage_rejected(self):
         buf = encode_message(Bye()) + b"x"
         with pytest.raises(ProtocolError):
@@ -205,20 +212,9 @@ class TestHostileBytes:
 
 
 class TestHandshake:
-    def test_negotiate_picks_highest_common(self):
-        assert negotiate_version((1, 2, 3), (1, 3)) == 3
-        assert negotiate_version((1,), (1,)) == 1
-
-    def test_negotiate_none_when_disjoint(self):
-        assert negotiate_version((7, 8), (1,)) is None
-
-    def test_current_versions_are_one_through_four(self):
-        assert PROTOCOL_VERSIONS == (1, 2, 3, 4)
-        assert negotiate_version(PROTOCOL_VERSIONS) == 4
-        # Older single-version peers still land on their version.
-        assert negotiate_version((1,)) == 1
-        assert negotiate_version((2,)) == 2
-        assert negotiate_version((3,)) == 3
+    def test_hello_offers_the_one_version(self):
+        assert PROTOCOL_VERSION == 5
+        assert Hello().versions == (PROTOCOL_VERSION,)
 
     def test_submit_converts_to_slot_request(self):
         s = Submit(5, input_fiber=2, wavelength=3, output_fiber=1, duration=4)

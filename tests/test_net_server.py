@@ -9,6 +9,7 @@ descriptors under repeated connect/cancel cycles.
 import asyncio
 import gc
 import os
+import struct
 import warnings
 
 import pytest
@@ -50,13 +51,23 @@ def run(coro):
     return asyncio.run(coro)
 
 
+async def _raw_hello(port: int, versions: tuple[int, ...]):
+    """Open a bare socket, send a hand-written HELLO offering ``versions``
+    and return ``(reader, writer, reply)``."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(encode_frame(proto.encode_message(proto.Hello(versions))))
+    await writer.drain()
+    data = await asyncio.wait_for(reader.read(4096), 5)
+    return reader, writer, proto.decode_message(data[8:])  # one frame
+
+
 class TestHandshake:
     def test_welcome_carries_shape(self):
         async def go():
             service, server = await _stack()
             client = await NetClient.connect("127.0.0.1", server.port)
             try:
-                assert client.version == max(proto.PROTOCOL_VERSIONS) == 4
+                assert client.version == proto.PROTOCOL_VERSION == 5
                 assert client.n_fibers == N_FIBERS
                 assert client.k == K
             finally:
@@ -66,17 +77,54 @@ class TestHandshake:
 
         run(go())
 
-    def test_no_common_version_is_refused(self):
+    def _assert_refused(self, versions):
         async def go():
             service, server = await _stack()
             try:
-                with pytest.raises(ProtocolError, match="handshake refused"):
-                    await NetClient.connect(
-                        "127.0.0.1", server.port, versions=(99,)
-                    )
+                reader, writer, msg = await _raw_hello(server.port, versions)
+                assert isinstance(msg, proto.ErrorMsg)
+                assert msg.code == proto.ErrorCode.NO_COMMON_VERSION
+                assert msg.seq == 0
+                # ...and the server closes.
+                assert await asyncio.wait_for(reader.read(4096), 5) == b""
+                writer.close()
+                await writer.wait_closed()
             finally:
                 await server.stop()
                 await service.stop()
+
+        run(go())
+
+    def test_no_common_version_is_refused(self):
+        self._assert_refused((99,))
+
+    def test_pre_v5_hello_is_refused_then_closed(self):
+        self._assert_refused((1, 2, 3, 4))
+
+    def test_client_refuses_a_foreign_welcome_version(self):
+        """WELCOME is outside input: a server answering another version
+        fails the connect typed, rather than yielding a client."""
+
+        async def go():
+            async def fake_server(reader, writer):
+                await reader.read(4096)
+                writer.write(
+                    encode_frame(
+                        proto.encode_message(proto.Welcome(4, N_FIBERS, K))
+                    )
+                )
+                await writer.drain()
+                await reader.read(4096)
+                writer.close()
+
+            server = await asyncio.start_server(fake_server, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                with pytest.raises(ProtocolError, match="version 4"):
+                    await NetClient.connect("127.0.0.1", port)
+            finally:
+                server.close()
+                await server.wait_closed()
 
         run(go())
 
@@ -220,10 +268,9 @@ class TestRequests:
         run(go())
 
 
-class TestProtocolInterop:
-    """Wire v1/v2 coexistence: old clients keep working against a v2
-    server, tenant-aware messages are fenced off v1 connections, and the
-    ADMISSION_SHED reject code degrades to its closest v1 semantic."""
+class TestRejectCodes:
+    """Every reject reason reaches the client verbatim, and the retired
+    tenant-only submit tag is refused like any unknown tag."""
 
     @staticmethod
     def _qos_service() -> SchedulingService:
@@ -239,74 +286,35 @@ class TestProtocolInterop:
             durability=False,
         )
 
-    def test_v1_only_client_negotiates_v1_and_still_schedules(self):
-        async def go():
-            service, server = await _stack()
-            client = await NetClient.connect(
-                "127.0.0.1", server.port, versions=(1,)
+    class _UnavailableService(SchedulingService):
+        def submit_nowait(self, request, timeout=None, **kwargs):
+            fut = asyncio.get_running_loop().create_future()
+            fut.set_result(
+                Rejected(request, RejectReason.UNAVAILABLE, slot=None)
             )
-            try:
-                assert client.version == 1
-                fut = client.submit_nowait(SlotRequest(0, 0, 0))
-                await client.tick(1)
-                outcome = await asyncio.wait_for(fut, 5)
-                assert isinstance(outcome, proto.Grant)
-            finally:
-                await client.close()
-                await server.stop()
-                await service.stop()
+            return fut
 
-        run(go())
-
-    def test_tenant_submit_on_v1_connection_raises_client_side(self):
-        async def go():
-            service, server = await _stack()
-            client = await NetClient.connect(
-                "127.0.0.1", server.port, versions=(1,)
-            )
-            try:
-                with pytest.raises(ProtocolError, match="needs protocol >= 2"):
-                    client.submit_nowait(SlotRequest(0, 0, 0, tenant=3))
-            finally:
-                await client.close()
-                await server.stop()
-                await service.stop()
-
-        run(go())
-
-    def test_forged_tenant_submit_on_v1_gets_bad_request(self):
-        """A peer that negotiates v1 and then ships a SUBMIT2 anyway (a
-        buggy or hostile client — ours refuses client-side) gets a typed
-        BAD_REQUEST, not a grant and not a dead connection."""
+    def test_retired_submit2_tag_is_refused(self):
+        """A greeted peer that ships a tag-0x0A frame gets a typed
+        connection-level BAD_REQUEST and the connection closes — no
+        grant, no hang."""
 
         async def go():
             service, server = await _stack()
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
+                reader, writer, welcome = await _raw_hello(
+                    server.port, (proto.PROTOCOL_VERSION,)
                 )
-                writer.write(
-                    encode_frame(proto.encode_message(proto.Hello((1,))))
-                )
-                await writer.drain()
-                data = await asyncio.wait_for(reader.read(4096), 5)
-                welcome = proto.decode_message(data[8:])
                 assert isinstance(welcome, proto.Welcome)
-                assert welcome.version == 1
-                # tenant != 0 forces the SUBMIT2 encoding.
-                writer.write(
-                    encode_frame(
-                        proto.encode_message(
-                            proto.Submit(1, 0, 0, 0, tenant=5)
-                        )
-                    )
-                )
+                body = struct.pack("!QIIIIiIqH", 1, 0, 0, 0, 1, 0, 5, -1, 0)
+                writer.write(encode_frame(b"\x0a" + body))
                 await writer.drain()
                 data = await asyncio.wait_for(reader.read(4096), 5)
                 msg = proto.decode_message(data[8:])
                 assert isinstance(msg, proto.ErrorMsg)
-                assert msg.seq == 1
+                assert msg.seq == 0
                 assert msg.code == proto.ErrorCode.BAD_REQUEST
+                assert await asyncio.wait_for(reader.read(4096), 5) == b""
                 writer.close()
                 await writer.wait_closed()
             finally:
@@ -315,45 +323,25 @@ class TestProtocolInterop:
 
         run(go())
 
-    async def _overflow_rejects(self, versions):
-        """Drive a SHED-configured service past queue capacity and return
-        the Reject outcomes seen by a client speaking ``versions``."""
-        service = self._qos_service()
-        server = NetServer(service)
-        await server.start()
-        client = await NetClient.connect(
-            "127.0.0.1", server.port, versions=versions
-        )
-        try:
-            futs = [
-                client.submit_nowait(SlotRequest(i % N_FIBERS, 0, 0))
-                for i in range(6)
-            ]
-            await client.tick(1)
-            outcomes = await asyncio.wait_for(asyncio.gather(*futs), 5)
-            return [o for o in outcomes if isinstance(o, proto.Reject)]
-        finally:
-            await client.close()
-            await server.stop()
-            await service.stop()
-
-    def test_admission_shed_downgrades_to_dropped_for_v1(self):
+    def test_admission_shed_reported_verbatim(self):
         async def go():
-            rejects = await self._overflow_rejects((1,))
+            service = self._qos_service()
+            server = NetServer(service)
+            await server.start()
+            client = await NetClient.connect("127.0.0.1", server.port)
+            try:
+                futs = [
+                    client.submit_nowait(SlotRequest(i % N_FIBERS, 0, 0))
+                    for i in range(6)
+                ]
+                await client.tick(1)
+                outcomes = await asyncio.wait_for(asyncio.gather(*futs), 5)
+            finally:
+                await client.close()
+                await server.stop()
+                await service.stop()
+            rejects = [o for o in outcomes if isinstance(o, proto.Reject)]
             # capacity 2, 6 submissions to one shard: sheds are certain.
-            dropped = [
-                r for r in rejects if r.reason is RejectReason.DROPPED
-            ]
-            assert len(dropped) >= 1
-            assert all(
-                r.reason is not RejectReason.ADMISSION_SHED for r in rejects
-            )
-
-        run(go())
-
-    def test_admission_shed_reported_verbatim_on_v2(self):
-        async def go():
-            rejects = await self._overflow_rejects(proto.PROTOCOL_VERSIONS)
             shed = [
                 r
                 for r in rejects
@@ -365,6 +353,30 @@ class TestProtocolInterop:
             )
 
         run(go())
+
+    def test_unavailable_reported_verbatim(self):
+        async def go():
+            service = self._UnavailableService(
+                N_FIBERS,
+                NonCircularConversion(K, 1, 1),
+                FirstAvailableScheduler(),
+                durability=False,
+            )
+            server = NetServer(service)
+            await server.start()
+            client = await NetClient.connect("127.0.0.1", server.port)
+            try:
+                return await asyncio.wait_for(
+                    client.submit_nowait(SlotRequest(0, 0, 0)), 5
+                )
+            finally:
+                await client.close()
+                await server.stop()
+                await service.stop()
+
+        reply = run(go())
+        assert isinstance(reply, proto.Reject)
+        assert reply.reason is RejectReason.UNAVAILABLE
 
 
 class TestShutdownHygiene:
@@ -588,8 +600,7 @@ class TestLiveness:
 
 class TestTickDeadlines:
     """``timeout_ticks`` end-to-end over the wire: deterministic slot
-    deadlines on both the SUBMIT (tenant 0) and SUBMIT2 (tenant != 0)
-    paths (PR 10 satellite)."""
+    deadlines for tenant-0 and tenanted submissions alike."""
 
     def _deadline_service(self) -> SchedulingService:
         # One grant per tick: later queue entries are drained on later
@@ -650,6 +661,7 @@ class TestTickDeadlines:
         self._run_deadline_drill(tenant=0)
 
     def test_submit2_path_expires_on_slot_deadline(self):
+        """Tenant != 0: the path the retired 0x0A tag once carried."""
         self._run_deadline_drill(tenant=7)
 
     def test_timeout_zero_expires_at_first_drain_after_backlog(self):
@@ -676,51 +688,3 @@ class TestTickDeadlines:
                 await service.stop()
 
         run(go())
-
-
-class TestUnavailableDowngrade:
-    """UNAVAILABLE joins the wire vocabulary at v4; older peers get the
-    closest pre-v4 semantic (SHARD_DOWN)."""
-
-    class _UnavailableService(SchedulingService):
-        def submit_nowait(self, request, timeout=None, **kwargs):
-            fut = asyncio.get_running_loop().create_future()
-            fut.set_result(
-                Rejected(request, RejectReason.UNAVAILABLE, slot=None)
-            )
-            return fut
-
-    async def _reject_seen_by(self, versions):
-        service = self._UnavailableService(
-            N_FIBERS,
-            NonCircularConversion(K, 1, 1),
-            FirstAvailableScheduler(),
-            durability=False,
-        )
-        server = NetServer(service)
-        await server.start()
-        client = await NetClient.connect(
-            "127.0.0.1", server.port, versions=versions
-        )
-        try:
-            reply = await asyncio.wait_for(
-                client.submit_nowait(SlotRequest(0, 0, 0)), 5
-            )
-        finally:
-            await client.close()
-            await server.stop()
-            await service.stop()
-        assert isinstance(reply, proto.Reject)
-        return reply.reason
-
-    def test_v4_peer_sees_unavailable(self):
-        assert (
-            run(self._reject_seen_by(proto.PROTOCOL_VERSIONS))
-            is RejectReason.UNAVAILABLE
-        )
-
-    def test_v3_peer_sees_shard_down(self):
-        assert (
-            run(self._reject_seen_by((1, 2, 3)))
-            is RejectReason.SHARD_DOWN
-        )
