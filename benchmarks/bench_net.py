@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.core.first_available import FirstAvailableScheduler
 from repro.graphs.conversion import NonCircularConversion
-from repro.net.loadgen import NetLoadReport, run_load
+from repro.net.loadgen import run_load
 from repro.net.procservice import ProcessShardedService
 from repro.net.server import NetServer
 from repro.service import SchedulingService
@@ -110,7 +110,7 @@ def run_net_bench(
 ) -> NetBenchResult:
     """One backend configuration under external multi-process load."""
     with serve_backend(n_fibers, k, workers) as port:
-        report: NetLoadReport = run_load(
+        report = run_load(
             "127.0.0.1",
             port,
             processes=processes,
@@ -121,14 +121,14 @@ def run_net_bench(
         backend="single-process" if workers == 0 else "multi-process",
         workers=workers,
         processes=processes,
-        submitted=report.submitted,
+        submitted=report.offered,
         granted=report.granted,
-        rejected=report.rejected,
-        ticks=report.ticks,
-        elapsed=report.elapsed,
+        rejected=sum(report.rejected.values()),
+        ticks=report.slots,
+        elapsed=report.wall_seconds,
         ticks_per_second=report.ticks_per_second,
-        p50_ms=report.p50_ms,
-        p99_ms=report.p99_ms,
+        p50_ms=report.p50_latency * 1e3,
+        p99_ms=report.p99_latency * 1e3,
         conserved=report.conserved,
     )
 

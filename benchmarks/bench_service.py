@@ -18,7 +18,7 @@ import asyncio
 from dataclasses import dataclass
 
 from repro.core.break_first_available import BreakFirstAvailableScheduler
-from repro.service import LoadGenerator, SchedulingService
+from repro.service import LoadGenerator, SchedulingClient, SchedulingService
 from repro.sim.traffic import BernoulliTraffic
 from repro.graphs.conversion import CircularConversion
 from repro.util.tables import format_table
@@ -52,7 +52,9 @@ def run_service_bench(
             tick_interval=0.0,
         )
         generator = LoadGenerator(
-            service, BernoulliTraffic(n_fibers, k, load=load), seed=seed
+            SchedulingClient(service),
+            BernoulliTraffic(n_fibers, k, load=load),
+            seed=seed,
         )
         report = await generator.run(n_slots)
         await service.stop()

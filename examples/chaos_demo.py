@@ -136,7 +136,7 @@ async def demo() -> None:
     )
     client = SchedulingClient(service2, seed=11)
     task = asyncio.ensure_future(
-        client.submit_with_retry(
+        client.submit(
             SlotRequest(0, 3, 2),
             policy=RetryPolicy(max_attempts=100, base_delay=0.0),
         )

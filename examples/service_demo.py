@@ -33,12 +33,14 @@ async def demo() -> None:
         overflow=OverflowPolicy.DROP_OLDEST,
     )
 
-    # --- 2. One interactive request through the client API: submit, tick,
-    # and read the grant (output channel + slot it was scheduled in).
+    # --- 2. One interactive request through the client: submit, tick, and
+    # read the grant (output channel + slot it was scheduled in).  The same
+    # client talks TCP when built with SchedulingClient.connect(host, port).
     client = SchedulingClient(service)
-    future = service.submit_nowait(SlotRequest(0, 5, 3))
-    await service.tick()
-    outcome = await future
+    request = asyncio.ensure_future(client.submit(SlotRequest(0, 5, 3)))
+    await asyncio.sleep(0)  # let the submit reach the service
+    await client.tick()
+    outcome = await request
     print(
         f"interactive request λ5 → output 3: granted channel "
         f"{outcome.channel} in slot {outcome.slot}"
@@ -47,7 +49,7 @@ async def demo() -> None:
     # --- 3. Sustained load: the simulator's own traffic model drives the
     # service, one traffic slot per tick, 200 slots at 85% offered load.
     generator = LoadGenerator(
-        service, BernoulliTraffic(4, 16, load=0.85), seed=20030422
+        client, BernoulliTraffic(4, 16, load=0.85), seed=20030422
     )
     report = await generator.run(200)
     print(

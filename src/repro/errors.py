@@ -135,7 +135,7 @@ class ConnectionLostError(ProtocolError):
     """The transport under a :mod:`repro.net` connection died mid-flight:
     reset, EOF inside a frame, or a failed liveness probe.  Unlike its
     parent this is *retryable* — the peer said nothing wrong, the wire
-    just went away — so :class:`repro.net.client.ResilientNetClient`
+    just went away — so a TCP :class:`repro.service.SchedulingClient`
     reconnects and redelivers on exactly this type (and on
     :class:`FramingError`, where killing the connection is the protocol's
     own corruption response)."""

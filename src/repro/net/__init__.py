@@ -9,25 +9,30 @@ process:
   REJECT / TICK_ADVANCE / HELLO version handshake) over the shared
   length+CRC32 frame codec (:mod:`repro.util.framing`).
 * :mod:`repro.net.server` / :mod:`repro.net.client` — the asyncio TCP
-  front door and its client.
+  front door and its raw connection, :class:`~repro.net.client.NetClient`.
+  The reconnecting, retrying client is
+  :class:`~repro.service.client.SchedulingClient` (``await
+  SchedulingClient.connect(host, port)``) over
+  :class:`~repro.net.client.NetLink`.
 * :mod:`repro.net.placement` — consistent-hash shard→worker placement.
 * :mod:`repro.net.procpool` / :mod:`repro.net.procservice` — shard
   workers in ``multiprocessing`` processes, each with its own journal
   directory, supervised and restartable; the parent keeps the same
   tick/admission semantics so grants stay bit-identical to
   :class:`~repro.sim.engine.SlottedSimulator`.
-* :mod:`repro.net.loadgen` — a process-based load generator that drives
-  the TCP front door from separate OS processes.
+* :mod:`repro.net.loadgen` — drives the TCP front door from separate OS
+  processes, each a :class:`~repro.service.client.SchedulingClient`
+  reporting a :class:`~repro.service.client.LoadReport`.
 * :mod:`repro.net.chaos` — a fault-injecting TCP proxy executing seeded
-  :class:`~repro.faults.net.NetFaultPlan` wire faults, paired with
-  :class:`~repro.net.client.ResilientNetClient`'s reconnect/redelivery
-  and heartbeat liveness.
+  :class:`~repro.faults.net.NetFaultPlan` wire faults, which the TCP
+  :class:`~repro.service.client.SchedulingClient` rides out with
+  reconnect/redelivery and heartbeat liveness.
 
 See ``docs/SERVICE.md`` ("Wire protocol" and "Multi-process deployment").
 """
 
 from repro.net.chaos import ChaosProxy
-from repro.net.client import NetClient, ResilientNetClient
+from repro.net.client import NetClient
 from repro.net.placement import HashRing
 from repro.net.procservice import ProcessShardedService
 from repro.net.protocol import (
@@ -50,7 +55,7 @@ from repro.net.protocol import (
 )
 from repro.net.server import NetServer
 
-_LAZY = ("NetLoadReport", "run_load")
+_LAZY = ("run_load",)
 
 
 def __getattr__(name: str):
@@ -82,9 +87,7 @@ __all__ = [
     "decode_message",
     "NetServer",
     "NetClient",
-    "ResilientNetClient",
     "ChaosProxy",
-    "NetLoadReport",
     "run_load",
     "HashRing",
     "ProcessShardedService",

@@ -100,7 +100,7 @@ class ChaosProxy:
 
         proxy = ChaosProxy("127.0.0.1", server.port, plan)
         await proxy.start()
-        client = await ResilientNetClient.connect("127.0.0.1", proxy.port)
+        client = await SchedulingClient.connect("127.0.0.1", proxy.port)
 
     :attr:`stats` counts every fault actually fired; ``trace_path`` (a
     JSONL file, one line per relayed frame / fired fault) is the frame

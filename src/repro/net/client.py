@@ -2,7 +2,12 @@
 
 :class:`NetClient` speaks :mod:`repro.net.protocol` over the shared
 frame codec: HELLO/WELCOME handshake at connect, pipelined SUBMITs
-correlated by ``seq``, TICK_ADVANCE driving, BYE on close.
+correlated by ``seq``, TICK_ADVANCE driving, BYE on close.  It is
+the raw connection: it neither reconnects nor retries.
+:class:`NetLink` is the TCP transport of
+:class:`~repro.service.client.SchedulingClient` — a :class:`NetClient`
+re-opened after a transport loss, a heartbeat, idempotent tick driving
+— and the client's one submit loop does the redelivery.
 
 Shutdown hygiene is a contract here, with a regression test
 (``tests/test_net_server.py``): closing the client — or cancelling an
@@ -21,22 +26,28 @@ import asyncio
 from collections import deque
 from typing import TYPE_CHECKING
 
-from repro.errors import ConnectionLostError, FramingError, ProtocolError
+from repro.errors import (
+    ConnectionLostError,
+    FramingError,
+    InvalidParameterError,
+    ProtocolError,
+)
 from repro.net import protocol as proto
 from repro.service.server import RejectReason
+from repro.service.telemetry import Telemetry
 from repro.util.framing import FrameDecoder, encode_frame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.distributed import SlotRequest
 
-__all__ = ["NetClient", "ResilientNetClient", "RETRYABLE_NET_ERRORS"]
+__all__ = ["NetClient", "NetLink", "RETRYABLE_NET_ERRORS"]
 
 _READ_CHUNK = 65536
 
 #: Exception types that mean "the wire died, the request may still be
-#: in doubt" — :class:`ResilientNetClient` reconnects and redelivers on
-#: these.  A plain :class:`ProtocolError` (server-side ERROR reply) is
-#: deliberately absent: the server answered, retrying would loop.
+#: in doubt" — :class:`NetLink` reconnects and redelivers on these.  A
+#: plain :class:`ProtocolError` (server-side ERROR reply) is deliberately
+#: absent: the server answered, retrying would loop.
 RETRYABLE_NET_ERRORS = (
     ConnectionLostError,
     FramingError,
@@ -155,7 +166,7 @@ class NetClient:
         Unlike :meth:`close` this sends nothing: the reader wakes on the
         reset and every in-flight future fails with
         :class:`~repro.errors.ConnectionLostError` — the retryable kind —
-        so a resilient wrapper reconnects instead of surfacing the error.
+        so :class:`NetLink` reconnects instead of surfacing the error.
         """
         if self._closing:
             return
@@ -365,7 +376,7 @@ class NetClient:
                         if not self._closing:
                             # Server-initiated goodbye (idle reap, drain):
                             # the connection is gone for all future calls,
-                            # and retryably so — a resilient wrapper should
+                            # and retryably so — NetLink should
                             # reconnect, not surface an error.
                             error = ConnectionLostError(
                                 "server closed the connection (BYE)"
@@ -425,125 +436,69 @@ class NetClient:
             )
 
 
-class ResilientNetClient:
-    """A self-healing façade over :class:`NetClient`.
+class NetLink:
+    """The TCP transport of :class:`~repro.service.client.SchedulingClient`:
+    one :class:`NetClient` at a time, re-opened when the wire dies.
 
-    Survives the faults :class:`repro.net.chaos.ChaosProxy` injects —
-    resets, corruption-killed connections, partitions — by reconnecting
-    with exponential backoff and *redelivering* in-doubt requests under
-    their original ``request_id``, so the server's exactly-once dedup
-    (:meth:`repro.service.edge.SubmissionEdge.check_duplicate`) replays
-    the recorded outcome instead of double-granting.
-
-    The liveness contract:
-
-    * Every submit carries a ``request_id`` (caller-supplied or
-      auto-generated), making redelivery safe.
-    * ``timeout_ticks`` deadlines are pinned to an absolute *server slot*
-      at first send; redelivery shrinks the remaining budget, so a
-      request cannot outlive its deadline by riding a reconnect.  An
-      in-doubt DUPLICATE (redelivery raced the still-pending original)
-      waits one tick and resubmits — dedup then replays the real outcome.
-    * :meth:`advance_to` is the idempotent tick driver: it PINGs after
-      reconnect to learn the true server slot and only requests the
-      missing ticks, never double-ticking.
-    * When the reconnect deadline is exhausted, :meth:`submit` degrades
-      gracefully: it resolves with a synthesized
-      ``Reject(reason=UNAVAILABLE, slot=-1)`` instead of hanging on a
-      partition (tick driving raises
-      :class:`~repro.errors.ConnectionLostError` instead — there is no
-      meaningful degraded tick).
-    * An optional heartbeat task PINGs every ``heartbeat_interval``
-      seconds and aborts the connection after ``liveness_timeout``
-      without a PONG; the next operation then reconnects.
-
-    The shutdown-hygiene contract of :class:`NetClient` carries over:
-    :meth:`close` reaps the heartbeat task and the inner client.
+    :meth:`connection` reconnects with the ``reconnect`` policy's delays
+    and publishes a new connection only after its resync PING, so a
+    concurrent :meth:`tick` never reads ``server_slot == -1`` and
+    re-requests ticks the server already ran.  Past
+    ``reconnect_deadline`` seconds it raises
+    :class:`~repro.errors.ConnectionLostError`.  :meth:`tick` drives the
+    server to an absolute slot, so a reconnect never doubles a tick.  An
+    optional heartbeat aborts a connection whose PING goes unanswered
+    for ``liveness_timeout``; the next operation reconnects.
     """
 
+    #: Exceptions that mean "the wire died, redeliver".
+    transient = RETRYABLE_NET_ERRORS
+
     def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        connect_timeout: float = 10.0,
-        reconnect_backoff: float = 0.05,
-        reconnect_backoff_max: float = 1.0,
-        reconnect_deadline: float = 10.0,
-        heartbeat_interval: float | None = None,
-        liveness_timeout: float | None = None,
-        id_prefix: str = "rc",
+        self, host, port, reconnect, reconnect_deadline,
+        heartbeat_interval, liveness_timeout, rng,
     ) -> None:
         for name, value in (
-            ("connect_timeout", connect_timeout),
-            ("reconnect_backoff", reconnect_backoff),
-            ("reconnect_backoff_max", reconnect_backoff_max),
             ("reconnect_deadline", reconnect_deadline),
+            ("heartbeat_interval", heartbeat_interval),
         ):
-            if value <= 0:
-                raise ProtocolError(f"{name} must be > 0, got {value}")
-        if heartbeat_interval is not None and heartbeat_interval <= 0:
-            raise ProtocolError(
-                f"heartbeat_interval must be > 0, got {heartbeat_interval}"
-            )
-        self.host = host
-        self.port = port
-        self.connect_timeout = connect_timeout
-        self.reconnect_backoff = reconnect_backoff
-        self.reconnect_backoff_max = reconnect_backoff_max
+            if value is not None and value <= 0:
+                raise InvalidParameterError(f"{name} must be > 0, got {value}")
+        self.host, self.port = host, port
+        self.reconnect = reconnect
         self.reconnect_deadline = reconnect_deadline
         self.heartbeat_interval = heartbeat_interval
-        self.liveness_timeout = (
-            liveness_timeout
-            if liveness_timeout is not None
-            else (None if heartbeat_interval is None else 2 * heartbeat_interval)
-        )
-        self.id_prefix = id_prefix
-        self.n_fibers = 0
-        self.k = 0
+        if liveness_timeout is None and heartbeat_interval is not None:
+            liveness_timeout = 2 * heartbeat_interval
+        self.liveness_timeout = liveness_timeout
+        self._rng = rng
+        self.telemetry = Telemetry()
+        self.n_fibers = self.k = 0
         #: Completed reconnects (0 while the first connection lives).
         self.reconnects = 0
-        #: Synthesized UNAVAILABLE rejects (reconnect budget exhausted).
-        self.unavailable_rejects = 0
-        self._client: NetClient | None = None
-        self._conn_lock = asyncio.Lock()
+        #: The live connection (None before the first and after close).
+        self.conn: NetClient | None = None
+        self._lock = asyncio.Lock()
         self._hb_task: asyncio.Task | None = None
         self._closed = False
-        self._had_connection = False
-        self._auto_seq = 0
-        self._ticked = asyncio.Event()
-
-    # -- lifecycle -----------------------------------------------------------
 
     @classmethod
-    async def connect(cls, host: str, port: int, **kwargs) -> "ResilientNetClient":
-        """Connect (retrying within the reconnect deadline) and start the
-        heartbeat task if one is configured."""
-        self = cls(host, port, **kwargs)
-        await self._ensure_connected()
-        if self.heartbeat_interval is not None:
-            self._hb_task = asyncio.get_running_loop().create_task(
-                self._heartbeat_loop(), name="repro-netclient-heartbeat"
+    async def open(cls, *args) -> "NetLink":
+        """Connect (within the reconnect deadline), start the heartbeat."""
+        link = cls(*args)
+        await link.connection()
+        if link.heartbeat_interval is not None:
+            link._hb_task = asyncio.get_running_loop().create_task(
+                link._heartbeat_loop(), name="repro-netclient-heartbeat"
             )
-        return self
-
-    async def __aenter__(self) -> "ResilientNetClient":
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.close()
+        return link
 
     @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def server_slot(self) -> int:
-        """Last slot the server reported (``-1`` before the first PONG)."""
-        return -1 if self._client is None else self._client.server_slot
+    def slot(self) -> int:
+        return -1 if self.conn is None else self.conn.server_slot
 
     async def close(self) -> None:
-        """Reap the heartbeat, close the inner client, wake waiters."""
+        """Reap the heartbeat task and close the connection."""
         if self._closed:
             return
         self._closed = True
@@ -553,75 +508,57 @@ class ResilientNetClient:
                 await self._hb_task
             except (asyncio.CancelledError, Exception):
                 pass
-        async with self._conn_lock:
-            if self._client is not None:
-                await self._client.close()
-                self._client = None
-        self._signal_tick()
+        async with self._lock:
+            if self.conn is not None:
+                await self.conn.close()
+                self.conn = None
 
-    # -- connection management -----------------------------------------------
-
-    async def _ensure_connected(self) -> NetClient:
-        """Return a healthy inner client, reconnecting with backoff.
-
-        Raises :class:`~repro.errors.ConnectionLostError` once
-        ``reconnect_deadline`` seconds of attempts fail — the caller
-        decides whether that degrades (submit) or propagates (ticking).
-        """
-        if self._closed:
-            raise ProtocolError("client is closed")
-        c = self._client
+    async def connection(self) -> NetClient:
+        """A healthy connection, re-opened with backoff if needed."""
+        c = self.conn
         if c is not None and c.healthy:
             return c
-        async with self._conn_lock:
+        async with self._lock:
             if self._closed:
                 raise ProtocolError("client is closed")
-            c = self._client
+            c = self.conn
             if c is not None and c.healthy:
                 return c
             loop = asyncio.get_running_loop()
             start = loop.time()
-            backoff = self.reconnect_backoff
             attempts = 0
             while True:
-                if self._client is not None:
-                    old, self._client = self._client, None
+                if self.conn is not None:
+                    old, self.conn = self.conn, None
                     await old.close()
                 c = None
                 try:
-                    c = await NetClient.connect(
-                        self.host, self.port, timeout=self.connect_timeout
-                    )
-                    # Resync the server slot before publishing the client:
-                    # a caller on the unlocked fast path above that saw
-                    # server_slot == -1 would re-request ticks the server
-                    # already ran.
-                    await c.ping()
-                    self._client = c
+                    c = await NetClient.connect(self.host, self.port)
+                    await c.ping()  # resync server_slot, then publish
+                    self.conn = c
                 except (ProtocolError, *RETRYABLE_NET_ERRORS) as exc:
+                    delay = self.reconnect.delay(attempts, self._rng)
                     attempts += 1
-                    if loop.time() - start + backoff > self.reconnect_deadline:
+                    if loop.time() - start + delay > self.reconnect_deadline:
                         raise ConnectionLostError(
                             f"reconnect to {self.host}:{self.port} failed for "
                             f"{self.reconnect_deadline}s ({attempts} attempts): "
                             f"{exc}"
                         ) from exc
-                    await asyncio.sleep(backoff)
-                    backoff = min(backoff * 2, self.reconnect_backoff_max)
+                    await asyncio.sleep(delay)
                     continue
                 finally:
-                    if c is not None and self._client is not c:
+                    if c is not None and self.conn is not c:
                         await c.close()
-                if self._had_connection:
+                if self.n_fibers:  # set by the first connection
                     self.reconnects += 1
-                self._had_connection = True
                 self.n_fibers, self.k = c.n_fibers, c.k
                 return c
 
     async def _heartbeat_loop(self) -> None:
         while not self._closed:
             await asyncio.sleep(self.heartbeat_interval)
-            c = self._client
+            c = self.conn
             if c is None or not c.healthy:
                 continue
             try:
@@ -631,111 +568,25 @@ class ResilientNetClient:
                     f"no PONG within {self.liveness_timeout}s liveness window"
                 )
 
-    def _signal_tick(self) -> None:
-        old = self._ticked
-        self._ticked = asyncio.Event()
-        old.set()
+    async def settled_slot(self, conn: NetClient) -> int:
+        """The slot the server runs ``conn``'s next message at: wait for
+        every TICK_ADVANCE already sent on it, or a deadline converted
+        now lands a slot late."""
+        await conn.ticks_settled()
+        return max(conn.server_slot, 0)
 
-    # -- requests ------------------------------------------------------------
+    @staticmethod
+    def reject(request, reason: RejectReason) -> proto.Reject:
+        return proto.Reject(0, reason, slot=-1)
 
-    async def submit(
-        self,
-        request: "SlotRequest",
-        *,
-        timeout_ticks: int = -1,
-        request_id: str = "",
-        deadline_slot: int | None = None,
-    ) -> "proto.Grant | proto.Reject":
-        """Submit with at-most-once effect and graceful degradation.
-
-        Resolves with the server's Grant/Reject; on reconnect-budget
-        exhaustion resolves with a synthesized
-        ``Reject(reason=UNAVAILABLE, slot=-1)`` rather than hanging.
-
-        ``deadline_slot`` pins the absolute expiry slot; otherwise a
-        non-negative ``timeout_ticks`` is converted against the server
-        slot known when the coroutine first runs.  Callers racing a tick
-        driver (the chaos drill) should pin ``deadline_slot`` themselves
-        from :attr:`server_slot` *before* scheduling the coroutine, so
-        the deadline cannot slip onto a later slot.
-        """
-        if self._closed:
-            raise ProtocolError("client is closed")
-        if deadline_slot is not None and deadline_slot < 0:
-            raise ProtocolError(
-                f"deadline_slot must be >= 0, got {deadline_slot}"
-            )
-        if not request_id:
-            self._auto_seq += 1
-            request_id = f"{self.id_prefix}-{self._auto_seq}"
+    async def tick(self, count: int) -> int:
+        """Drive the server ``count`` ticks past its current slot."""
+        target = max((await self.connection()).server_slot, 0) + count
         while True:
+            conn = await self.connection()
+            if conn.server_slot >= target:
+                return conn.server_slot
             try:
-                client = await self._ensure_connected()
-            except ConnectionLostError:
-                self.unavailable_rejects += 1
-                return proto.Reject(0, RejectReason.UNAVAILABLE, slot=-1)
-            tt = timeout_ticks
-            if deadline_slot is not None or timeout_ticks >= 0:
-                # The server runs every TICK_ADVANCE already sent on this
-                # connection before this SUBMIT; converting against a
-                # slot view those ticks will move stretches the deadline.
-                await client.ticks_settled()
-                if deadline_slot is None:
-                    deadline_slot = max(client.server_slot, 0) + timeout_ticks
-                tt = max(0, deadline_slot - max(client.server_slot, 0))
-            try:
-                reply = await client.submit(
-                    request, timeout_ticks=tt, request_id=request_id
-                )
+                await conn.tick(target - conn.server_slot)
             except RETRYABLE_NET_ERRORS:
-                continue  # reconnect and redeliver under the same id
-            if (
-                isinstance(reply, proto.Reject)
-                and reply.reason is RejectReason.DUPLICATE
-            ):
-                # In doubt.  Either our redelivery raced the still-pending
-                # original, or the *network* delivered our SUBMIT twice
-                # and the immediate DUPLICATE reject outran the real
-                # outcome (both carry our seq).  The wrapper never reuses
-                # a request_id across logical requests, so a DUPLICATE
-                # can only mean "the original is still in flight": wait
-                # for a tick to resolve it, then resubmit — dedup replays
-                # the recorded grant (or treats a released reject as a
-                # fresh, already-expired request).
-                ev = self._ticked
-                try:
-                    await asyncio.wait_for(ev.wait(), 5.0)
-                except asyncio.TimeoutError:
-                    pass
-                continue
-            return reply
-
-    async def advance_to(self, target_slot: int) -> int:
-        """Idempotently drive the server to ``target_slot``.
-
-        After any reconnect the handshake PING re-learns the true server
-        slot, so only the missing ticks are requested — a tick burst
-        severed mid-flight is never replayed.  Returns the server slot
-        (≥ ``target_slot``).  Raises
-        :class:`~repro.errors.ConnectionLostError` when the reconnect
-        budget is exhausted.
-        """
-        if target_slot < 0:
-            raise ProtocolError(f"target_slot must be >= 0, got {target_slot}")
-        while True:
-            client = await self._ensure_connected()
-            if client.server_slot >= target_slot:
-                return client.server_slot
-            try:
-                await client.tick(target_slot - client.server_slot)
-            except RETRYABLE_NET_ERRORS:
-                continue
-            self._signal_tick()
-
-    async def tick(self, count: int = 1) -> int:
-        """Run ``count`` further ticks (idempotent via :meth:`advance_to`);
-        returns the resulting server slot."""
-        if count < 1:
-            raise ProtocolError(f"count must be >= 1, got {count}")
-        client = await self._ensure_connected()
-        return await self.advance_to(max(client.server_slot, 0) + count)
+                pass

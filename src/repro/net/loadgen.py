@@ -1,10 +1,14 @@
 """Process-based load generation for the TCP front door.
 
 Drives a running :class:`~repro.net.server.NetServer` from **separate OS
-processes**: each load process opens its own :class:`NetClient`, submits
-seeded random requests in pipelined batches, and measures per-request
-latency; the caller's process drives slot ticks over its own connection
-until every load process reports back.  This is the external-driver
+processes**: each load process opens its own TCP
+:class:`~repro.service.client.SchedulingClient`, submits seeded random
+requests in pipelined batches through the shared
+:func:`~repro.service.client.stamped` coroutine (each request's latency
+stamped when its own outcome arrives), and ships back a
+:class:`~repro.service.client.LoadReport`; the caller's process drives
+slot ticks over its own connection until every load process reports
+back, and merges the reports.  This is the external-driver
 shape the open-shop scheduling literature uses — the system under test
 never generates its own load.
 
@@ -22,83 +26,52 @@ import argparse
 import asyncio
 import multiprocessing as mp
 import random
-import statistics
 import sys
 import time
-from dataclasses import dataclass
 
 from repro.core.distributed import SlotRequest
 from repro.errors import ProtocolError
+from repro.service.client import LoadReport, SchedulingClient, stamped
 
-__all__ = ["NetLoadReport", "run_load", "main"]
-
-#: Per-child cap on latency samples shipped back over the queue.
-_MAX_SAMPLES = 10_000
+__all__ = ["random_load", "drive_load", "run_load", "main"]
 
 
-@dataclass(frozen=True, slots=True)
-class NetLoadReport:
-    """Aggregate of one :func:`run_load` run."""
-
-    processes: int
-    submitted: int
-    granted: int
-    rejected: int
-    errors: int
-    ticks: int
-    elapsed: float
-    p50_ms: float
-    p99_ms: float
-
-    @property
-    def conserved(self) -> bool:
-        """Every submission resolved exactly once."""
-        return self.submitted == self.granted + self.rejected + self.errors
-
-    @property
-    def ticks_per_second(self) -> float:
-        return self.ticks / self.elapsed if self.elapsed > 0 else 0.0
+async def random_load(
+    client: SchedulingClient, seed: int, n_requests: int, batch: int
+) -> LoadReport:
+    """One load process's work: ``n_requests`` uniformly random requests
+    from ``random.Random(seed)``, submitted ``batch`` at a time, each
+    batch awaited before the next.  The ticks come from elsewhere."""
+    rng = random.Random(seed)
+    n_fibers, k = client.n_fibers, client.k
+    outcomes: list = []
+    latencies: list[float] = []
+    t0 = time.perf_counter()
+    while len(outcomes) < n_requests:
+        n = min(batch, n_requests - len(outcomes))
+        reqs = [
+            SlotRequest(
+                rng.randrange(n_fibers),
+                rng.randrange(k),
+                rng.randrange(n_fibers),
+            )
+            for _ in range(n)
+        ]
+        outcomes += await asyncio.gather(
+            *(stamped(client, r, latencies) for r in reqs),
+            return_exceptions=True,
+        )
+    return LoadReport.tally(outcomes, latencies, 0, time.perf_counter() - t0)
 
 
 async def _child_async(
     host: str, port: int, seed: int, n_requests: int, batch: int
-) -> tuple[int, int, int, int, list[float]]:
-    from repro.net.client import NetClient
-    from repro.net import protocol as proto
-
-    rng = random.Random(seed)
-    client = await NetClient.connect(host, port)
-    submitted = granted = rejected = errors = 0
-    latencies: list[float] = []
-    try:
-        n_fibers, k = client.n_fibers, client.k
-        while submitted < n_requests:
-            n = min(batch, n_requests - submitted)
-            reqs = [
-                SlotRequest(
-                    rng.randrange(n_fibers),
-                    rng.randrange(k),
-                    rng.randrange(n_fibers),
-                )
-                for _ in range(n)
-            ]
-            t0 = time.perf_counter()
-            futures = [client.submit_nowait(r) for r in reqs]
-            submitted += n
-            outcomes = await asyncio.gather(*futures, return_exceptions=True)
-            dt = time.perf_counter() - t0
-            if len(latencies) < _MAX_SAMPLES:
-                latencies.extend([dt / n] * n)
-            for out in outcomes:
-                if isinstance(out, proto.Grant):
-                    granted += 1
-                elif isinstance(out, proto.Reject):
-                    rejected += 1
-                else:
-                    errors += 1
-    finally:
-        await client.close()
-    return submitted, granted, rejected, errors, latencies
+) -> LoadReport:
+    async with await SchedulingClient.connect(host, port) as client:
+        report = await random_load(client, seed, n_requests, batch)
+    # The parent needs the tallies and latencies, not every outcome.
+    report.outcomes.clear()
+    return report
 
 
 def _child_main(
@@ -113,40 +86,7 @@ def _child_main(
         report_q.put(("error", repr(exc)))
 
 
-async def _drive_and_collect(
-    host: str,
-    port: int,
-    processes: list,
-    report_q,
-    max_ticks: int,
-) -> tuple[list, int]:
-    """Tick the server from this process until every child reported."""
-    from repro.net.client import NetClient
-
-    reports: list = []
-    ticks = 0
-    driver = await NetClient.connect(host, port)
-    try:
-        while len(reports) < len(processes):
-            if ticks >= max_ticks:
-                raise ProtocolError(
-                    f"load did not complete within {max_ticks} ticks"
-                )
-            await driver.tick(1)
-            ticks += 1
-            while True:
-                try:
-                    reports.append(report_q.get_nowait())
-                except Exception:
-                    break
-            # Yield so resolution callbacks run between ticks.
-            await asyncio.sleep(0)
-    finally:
-        await driver.close()
-    return reports, ticks
-
-
-def run_load(
+async def drive_load(
     host: str,
     port: int,
     *,
@@ -155,13 +95,10 @@ def run_load(
     batch: int = 8,
     seed: int = 0,
     max_ticks: int = 100_000,
-) -> NetLoadReport:
-    """Fire ``processes`` external load processes at a running server.
-
-    Blocking call (it runs its own event loop to drive ticks); call it
-    from a thread when the server shares this process's loop — or, as in
-    ``__main__`` below, run the server on a background thread.
-    """
+) -> LoadReport:
+    """Fire ``processes`` load processes at a running server and tick it
+    from here until every one reported; returns their merged report
+    (``slots`` = ticks driven)."""
     ctx = mp.get_context("spawn")
     report_q = ctx.Queue()
     procs = [
@@ -176,10 +113,19 @@ def run_load(
     t0 = time.perf_counter()
     for p in procs:
         p.start()
+    reports: list = []
+    ticks = 0
     try:
-        reports, ticks = asyncio.run(
-            _drive_and_collect(host, port, procs, report_q, max_ticks)
-        )
+        async with await SchedulingClient.connect(host, port) as driver:
+            while len(reports) < processes:
+                if ticks >= max_ticks:
+                    raise ProtocolError(
+                        f"load did not complete within {max_ticks} ticks"
+                    )
+                await driver.tick(1)
+                ticks += 1
+                while not report_q.empty():
+                    reports.append(report_q.get())
     finally:
         for p in procs:
             p.join(timeout=30.0)
@@ -187,35 +133,16 @@ def run_load(
                 p.kill()
                 p.join(timeout=5.0)
     elapsed = time.perf_counter() - t0
-
-    submitted = granted = rejected = errors = 0
-    latencies: list[float] = []
     for tag, payload in reports:
         if tag != "ok":
             raise ProtocolError(f"load process failed: {payload}")
-        s, g, r, e, lat = payload
-        submitted += s
-        granted += g
-        rejected += r
-        errors += e
-        latencies.extend(lat)
-    latencies.sort()
-    if latencies:
-        p50 = statistics.median(latencies) * 1e3
-        p99 = latencies[min(len(latencies) - 1, int(len(latencies) * 0.99))] * 1e3
-    else:
-        p50 = p99 = 0.0
-    return NetLoadReport(
-        processes=processes,
-        submitted=submitted,
-        granted=granted,
-        rejected=rejected,
-        errors=errors,
-        ticks=ticks,
-        elapsed=elapsed,
-        p50_ms=p50,
-        p99_ms=p99,
-    )
+    return LoadReport.merge([r for _, r in reports], ticks, elapsed)
+
+
+def run_load(host: str, port: int, **options) -> LoadReport:
+    """Blocking :func:`drive_load` (for a server on another thread or
+    process)."""
+    return asyncio.run(drive_load(host, port, **options))
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -231,19 +158,12 @@ def main(argv: "list[str] | None" = None) -> int:
     ap.add_argument("--journal-dir", default=None)
     args = ap.parse_args(argv)
 
-    import threading
-
     from repro.core.first_available import FirstAvailableScheduler
     from repro.graphs.conversion import NonCircularConversion
     from repro.net.procservice import ProcessShardedService
     from repro.net.server import NetServer
 
-    loop = asyncio.new_event_loop()
-    service = server = None
-    ready = threading.Event()
-
-    async def _bring_up():
-        nonlocal service, server
+    async def serve_and_load() -> LoadReport:
         service = ProcessShardedService(
             args.n_fibers,
             NonCircularConversion(args.k, 1, 1),
@@ -252,45 +172,31 @@ def main(argv: "list[str] | None" = None) -> int:
             journal_dir=args.journal_dir,
         )
         server = NetServer(service)
-        await server.start()
-        return server.port
-
-    def _loop_thread():
-        asyncio.set_event_loop(loop)
-        loop.call_soon(ready.set)
-        loop.run_forever()
-
-    t = threading.Thread(target=_loop_thread, name="repro-net-main", daemon=True)
-    t.start()
-    ready.wait()
-    port = asyncio.run_coroutine_threadsafe(_bring_up(), loop).result(60)
-    print(
-        f"server up on 127.0.0.1:{port} — {args.workers} worker processes, "
-        f"placement {service.placement}"
-    )
-    try:
-        report = run_load(
-            "127.0.0.1",
-            port,
-            processes=args.processes,
-            requests_per_process=args.requests,
-            seed=args.seed,
-        )
-    finally:
-        async def _bring_down():
+        try:
+            await server.start()
+            print(
+                f"server up on 127.0.0.1:{server.port} — {args.workers} "
+                f"worker processes, placement {service.placement}"
+            )
+            return await drive_load(
+                "127.0.0.1",
+                server.port,
+                processes=args.processes,
+                requests_per_process=args.requests,
+                seed=args.seed,
+            )
+        finally:
             await server.stop()
             await service.stop()
 
-        asyncio.run_coroutine_threadsafe(_bring_down(), loop).result(60)
-        loop.call_soon_threadsafe(loop.stop)
-        t.join(timeout=10.0)
-
+    report = asyncio.run(serve_and_load())
     print(
-        f"load: {report.submitted} submitted, {report.granted} granted, "
-        f"{report.rejected} rejected, {report.errors} errors over "
-        f"{report.ticks} ticks in {report.elapsed:.2f}s "
+        f"load: {report.offered} submitted, {report.granted} granted, "
+        f"{sum(report.rejected.values())} rejected, {report.errors} errors "
+        f"over {report.slots} ticks in {report.wall_seconds:.2f}s "
         f"({report.ticks_per_second:.0f} ticks/s, "
-        f"p50 {report.p50_ms:.2f} ms, p99 {report.p99_ms:.2f} ms)"
+        f"p50 {report.p50_latency * 1e3:.2f} ms, "
+        f"p99 {report.p99_latency * 1e3:.2f} ms)"
     )
     if not report.conserved:
         print("CONSERVATION VIOLATED: submitted != granted + rejected + errors")

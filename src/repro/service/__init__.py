@@ -6,9 +6,9 @@ This package serves that shape: one shard worker per output fiber
 (:mod:`~repro.service.shard`), bounded per-shard request queues with
 explicit backpressure (:mod:`~repro.service.queue`), an asyncio tick loop
 that batches submissions into slots and fans them out
-(:mod:`~repro.service.server`), a client/load-generator API
-(:mod:`~repro.service.client`), and built-in telemetry
-(:mod:`~repro.service.telemetry`).
+(:mod:`~repro.service.server`), one client and load generator over an
+in-process service or TCP (:mod:`~repro.service.client`), and built-in
+telemetry (:mod:`~repro.service.telemetry`).
 
 Quickstart
 ----------

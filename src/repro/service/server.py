@@ -152,10 +152,6 @@ class Rejected:
     slot: int | None = None
 
 
-#: Back-compat alias: the envelope moved to :mod:`repro.service.edge`.
-_Pending = PendingRequest
-
-
 #: Tick-duration buckets: 10 µs … ~40 s.
 _TICK_BUCKETS = exponential_buckets(10e-6, 2.0, 22)
 #: Occupancy buckets: 1 … 2^19 busy channels.
@@ -422,7 +418,7 @@ class SchedulingService:
             )
             if future.done():
                 return future
-        pending = _Pending(
+        pending = PendingRequest(
             request,
             future,
             deadline,
@@ -498,11 +494,16 @@ class SchedulingService:
 
     # -- resolution helpers (delegated to the shared edge) -------------------
 
-    def _resolve(self, pending: _Pending, outcome: ServiceGrant | Rejected) -> None:
+    def _resolve(
+        self, pending: PendingRequest, outcome: ServiceGrant | Rejected
+    ) -> None:
         self.edge.resolve(pending, outcome)
 
     def _resolve_rejected(
-        self, pending: _Pending, reason: RejectReason, slot: int | None = None
+        self,
+        pending: PendingRequest,
+        reason: RejectReason,
+        slot: int | None = None,
     ) -> None:
         self.edge.resolve_rejected(pending, reason, slot)
 
@@ -649,7 +650,7 @@ class SchedulingService:
         # 1 + 2: drain queues and run admission, shards in fiber order
         # (the admission state machine is shared with the multi-process
         # parent — see repro/service/tickloop.py).
-        work: list[tuple[ShardWorker, list[_Pending]]] = []
+        work: list[tuple[ShardWorker, list[PendingRequest]]] = []
         seen_inputs = self._admission.begin_tick()
         for shard in self.shards:
             if self.durability is not None:

@@ -252,7 +252,7 @@ class TestChaosDrill:
 
 class TestRetryUnderChaos:
     def test_retry_rides_out_a_crash(self):
-        """submit_with_retry keeps trying through SHARD_DOWN / CIRCUIT_OPEN
+        """submit(policy=) keeps trying through SHARD_DOWN / CIRCUIT_OPEN
         and lands a grant once the supervisor has healed the shard."""
 
         async def go():
@@ -264,7 +264,7 @@ class TestRetryUnderChaos:
             client = SchedulingClient(service, seed=1)
             policy = RetryPolicy(max_attempts=200, base_delay=0.0)
             task = asyncio.ensure_future(
-                client.submit_with_retry(SlotRequest(1, 2, 0), policy=policy)
+                client.submit(SlotRequest(1, 2, 0), policy=policy)
             )
             for _ in range(30):
                 await service.tick()
@@ -299,7 +299,7 @@ class TestRetryUnderChaos:
             budget = RetryBudget(tokens=3.0, refill_per_success=0.0)
             policy = RetryPolicy(max_attempts=100, base_delay=0.0)
             await service.tick()  # applies the crash
-            outcome = await client.submit_with_retry(
+            outcome = await client.submit(
                 SlotRequest(1, 2, 0), policy=policy, budget=budget
             )
             return service, outcome, budget

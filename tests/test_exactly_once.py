@@ -204,7 +204,7 @@ class TestRetriesAreExactlyOnce:
             )
             tasks = [
                 asyncio.ensure_future(
-                    client.submit_with_retry(
+                    client.submit(
                         r, policy=policy, attempt_timeout=0.005
                     )
                 )
@@ -242,7 +242,7 @@ class TestRetriesAreExactlyOnce:
                 max_attempts=200, base_delay=0.003, max_delay=0.01
             )
             task = asyncio.ensure_future(
-                client.submit_with_retry(
+                client.submit(
                     r, policy=policy, attempt_timeout=0.005
                 )
             )

@@ -4,7 +4,7 @@ The acceptance drill of PR 10: a :class:`~repro.net.chaos.ChaosProxy`
 executes a seeded :class:`~repro.faults.net.NetFaultPlan` (latency,
 write stalls, mid-frame resets, single-byte corruption, duplicate
 SUBMIT delivery, a healed partition) between a
-:class:`~repro.net.client.ResilientNetClient` and a live
+:class:`~repro.service.SchedulingClient` over TCP and a live
 :class:`~repro.net.server.NetServer`, and the run must *converge*:
 
 * every request the client observed as **granted** is bit-identical
@@ -48,9 +48,9 @@ from repro.faults.net import (
 from repro.graphs.conversion import NonCircularConversion
 from repro.net import protocol as proto
 from repro.net.chaos import ChaosProxy, FrameSplitter
-from repro.net.client import NetClient, ResilientNetClient
+from repro.net.client import NetClient
 from repro.net.server import NetServer
-from repro.service import SchedulingService
+from repro.service import RetryPolicy, SchedulingClient, SchedulingService
 from repro.service.server import RejectReason
 from repro.util.framing import encode_frame
 
@@ -91,11 +91,11 @@ def _workload(slot: int) -> list[tuple[str, SlotRequest]]:
     return reqs
 
 
-async def _drive(rc: ResilientNetClient) -> dict:
+async def _drive(rc: SchedulingClient) -> dict:
     """Run the soak workload; returns ``{request_id: Grant | Reject}``."""
     tasks: dict[str, asyncio.Task] = {}
     for slot in range(SOAK_SLOTS):
-        base = max(rc.server_slot, 0)
+        base = max(rc.slot, 0)
         for rid, request in _workload(slot):
             tasks[rid] = asyncio.ensure_future(
                 rc.submit(request, request_id=rid, deadline_slot=base + 1)
@@ -227,7 +227,7 @@ class TestResilientClient:
             proxy = await ChaosProxy(
                 "127.0.0.1", server.port, NetFaultPlan()
             ).start()
-            rc = await ResilientNetClient.connect(
+            rc = await SchedulingClient.connect(
                 "127.0.0.1", proxy.port, reconnect_deadline=5.0
             )
             try:
@@ -265,10 +265,10 @@ class TestResilientClient:
             service = _service()
             server = NetServer(service)
             await server.start()
-            rc = await ResilientNetClient.connect(
+            rc = await SchedulingClient.connect(
                 "127.0.0.1",
                 server.port,
-                reconnect_backoff=0.02,
+                reconnect=RetryPolicy(base_delay=0.02, max_delay=1.0),
                 reconnect_deadline=0.3,
             )
             try:
@@ -304,7 +304,7 @@ class TestResilientClient:
             proxy = await ChaosProxy(
                 "127.0.0.1", server.port, NetFaultPlan()
             ).start()
-            rc = await ResilientNetClient.connect(
+            rc = await SchedulingClient.connect(
                 "127.0.0.1",
                 proxy.port,
                 heartbeat_interval=0.05,
@@ -312,7 +312,7 @@ class TestResilientClient:
                 reconnect_deadline=5.0,
             )
             try:
-                inner = rc._client
+                inner = rc._link.conn
                 # Freeze the proxy↔client pipe: heartbeats get no PONG.
                 for link in list(proxy._links):
                     link.server_writer.transport.pause_reading()
@@ -350,7 +350,7 @@ class TestCorruptionIsLoud:
                 corruptions=(CorruptByte(0, offset=3, mask=0x40),)
             )
             proxy = await ChaosProxy("127.0.0.1", server.port, plan).start()
-            rc = await ResilientNetClient.connect(
+            rc = await SchedulingClient.connect(
                 "127.0.0.1", proxy.port, reconnect_deadline=5.0
             )
             try:
@@ -397,7 +397,7 @@ class TestChaosSoak:
         service = _service()
         server = NetServer(service)
         await server.start()
-        rc = await ResilientNetClient.connect("127.0.0.1", server.port)
+        rc = await SchedulingClient.connect("127.0.0.1", server.port)
         try:
             return await _drive(rc)
         finally:
@@ -415,7 +415,7 @@ class TestChaosSoak:
             "127.0.0.1", server.port, plan, trace_path=str(trace_path)
         )
         await proxy.start()
-        rc = await ResilientNetClient.connect(
+        rc = await SchedulingClient.connect(
             "127.0.0.1",
             proxy.port,
             heartbeat_interval=0.25,

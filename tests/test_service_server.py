@@ -82,8 +82,8 @@ class TestSubmitAndTick:
         async def go():
             service = make_service()
             client = SchedulingClient(service)
-            task = asyncio.ensure_future(
-                client.submit_many([SlotRequest(i, i, 0) for i in range(3)])
+            task = asyncio.gather(
+                *(client.submit(SlotRequest(i, i, 0)) for i in range(3))
             )
             await asyncio.sleep(0)
             await service.tick()
@@ -267,7 +267,9 @@ class TestTickPath:
         async def go():
             service = SchedulingService(8, scheme, scheduler, **kwargs)
             gen = LoadGenerator(
-                service, BernoulliTraffic(8, scheme.k, load=0.85), seed=99
+                SchedulingClient(service),
+                BernoulliTraffic(8, scheme.k, load=0.85),
+                seed=99,
             )
             report = await gen.run(30)
             await service.stop()
@@ -413,7 +415,9 @@ class TestTelemetryConservation:
                 max_batch_per_tick=3,
             )
             gen = LoadGenerator(
-                service, BernoulliTraffic(4, 8, load=0.9), seed=5
+                SchedulingClient(service),
+                BernoulliTraffic(4, 8, load=0.9),
+                seed=5,
             )
             return await gen.run(40)
 
@@ -432,7 +436,9 @@ class TestTelemetryConservation:
         async def go():
             service = make_service(n_fibers=3, k=6)
             gen = LoadGenerator(
-                service, BernoulliTraffic(3, 6, load=0.8), seed=11
+                SchedulingClient(service),
+                BernoulliTraffic(3, 6, load=0.8),
+                seed=11,
             )
             await gen.run(25)
             return service.telemetry
