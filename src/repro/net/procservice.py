@@ -1,18 +1,20 @@
 """The multi-process scheduling service: shards in worker processes.
 
-:class:`ProcessShardedService` keeps the *same* tick semantics as the
-in-process :class:`~repro.service.server.SchedulingService` — same
-bounded queues, same submission edge (dedup, counters), same input-side
-admission state machine (:mod:`repro.service.tickloop`), same FIFO /
-fiber-order discipline — but runs step 3 (per-output scheduling) and
-step 5 (channel-clock advance) inside OS worker processes chosen by
-consistent-hash placement (:mod:`repro.net.procpool`).  A worker
-schedules all the shards it owns with one
+:class:`ProcessShardedService` is the shared service front
+(:class:`~repro.service.tickloop.ServiceFront`: the same submission path,
+bounded queues, submission edge, admission, outcome resolution and run
+modes as the in-process :class:`~repro.service.server.SchedulingService`)
+placed over OS worker processes chosen by consistent-hash placement
+(:mod:`repro.net.procpool`).  The only step it supplies is step 3: the
+workers schedule all the shards they own with one
 :func:`~repro.core.distributed.schedule_tick` call per tick — the same
-function the in-process service ticks with.  A shard whose scheduling
-crashes (a kernel row that fails the feasibility check, a scheduler that
-raises) loses that tick only: its requests resolve ``SHARD_DOWN``,
-``server.shard_crashes`` counts it, and its clock lives on in the worker.
+function the in-process service ticks with — commit the grants and
+advance their shards' channel clocks, and reply in the outcome format
+the front resolves (grant tuples and rejected pairs).  A shard whose
+scheduling crashes (a kernel row that fails the feasibility check, a
+scheduler that raises) loses that tick only: its requests resolve
+``SHARD_DOWN``, ``server.shard_crashes`` counts it, and its clock lives
+on in the worker.
 
 Because the per-output decision is a pure function of (scheme,
 scheduler, stateless policy, requests, busy[]) — the paper's
@@ -55,48 +57,37 @@ from __future__ import annotations
 
 import asyncio
 import os
-import time
 from typing import TYPE_CHECKING
 
-from repro.core.distributed import SlotRequest, validate_slot_request
-from repro.core.policies import FixedPriorityPolicy, GrantPolicy
-from repro.errors import (
-    InvalidParameterError,
-    SimulationError,
-    WorkerProcessError,
-)
+from repro.core.policies import GrantPolicy
+from repro.errors import InvalidParameterError, WorkerProcessError
 from repro.net.procpool import ProcessShardPool
-from repro.service.breaker import BreakerConfig, CircuitBreaker
-from repro.service.edge import PendingRequest, SubmissionEdge
+from repro.service.breaker import BreakerConfig
+from repro.service.edge import PendingRequest, RejectReason
 from repro.service.journal import request_tuple
-from repro.service.queue import BoundedQueue, OverflowPolicy, TenantAdmission
-from repro.service.ratelimit import RateLimitConfig, TokenBucketLimiter
+from repro.service.queue import OverflowPolicy, TenantAdmission
+from repro.service.ratelimit import RateLimitConfig
 from repro.service.resharding import (
     MigrationReport,
     ShardMigrator,
     ShardMove,
 )
-from repro.service.server import Rejected, RejectReason, ServiceGrant
-from repro.service.telemetry import Telemetry, exponential_buckets
-from repro.service.tickloop import InputAdmission
-from repro.util.validation import check_positive_int
+from repro.service.telemetry import Telemetry
+from repro.service.tickloop import ServiceFront, ShardOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.base import Scheduler
     from repro.faults.crashpoints import CrashPoints
     from repro.graphs.conversion import ConversionScheme
 
-#: Tick-duration buckets: 10 µs … ~40 s (mirrors the in-process service).
-_TICK_BUCKETS = exponential_buckets(10e-6, 2.0, 22)
-
 __all__ = ["ProcessShardedService"]
 
 
-class ProcessShardedService:
+class ProcessShardedService(ServiceFront):
     """Sharded scheduling service with multi-process shard placement.
 
-    The submission/tick surface mirrors
-    :class:`~repro.service.server.SchedulingService` (``submit_nowait`` /
+    The submission/tick surface is the shared service front
+    (:class:`~repro.service.tickloop.ServiceFront`: ``submit_nowait`` /
     ``submit`` / ``tick`` / ``run_ticks`` / ``drain`` / ``stop``), so the
     TCP front door (:class:`repro.net.server.NetServer`) serves either
     backend unchanged.
@@ -122,9 +113,20 @@ class ProcessShardedService:
         telemetry: Telemetry | None = None,
         unresponsive_timeout: float = 30.0,
     ) -> None:
-        self.n_fibers = check_positive_int(n_fibers, "n_fibers")
-        self.scheme = scheme
-        self.policy = policy if policy is not None else FixedPriorityPolicy()
+        super().__init__(
+            n_fibers,
+            scheme,
+            policy,
+            queue_capacity=queue_capacity,
+            overflow=overflow,
+            admission=admission,
+            tick_interval=tick_interval,
+            max_batch_per_tick=max_batch_per_tick,
+            telemetry=telemetry,
+            breaker=breaker,
+            rate_limit=rate_limit,
+            dedup_capacity=dedup_capacity,
+        )
         # Cross-output policy state (RandomPolicy) → stateful mode: the
         # parent owns the canonical state and threads it through one
         # worker call per contended shard in fiber order (see module
@@ -133,21 +135,6 @@ class ProcessShardedService:
         self._policy_state = (
             self.policy.export_state() if self._stateful else None
         )
-        if max_batch_per_tick is not None:
-            check_positive_int(max_batch_per_tick, "max_batch_per_tick")
-        if tick_interval < 0:
-            raise InvalidParameterError(
-                f"tick_interval must be >= 0, got {tick_interval}"
-            )
-        self.max_batch_per_tick = max_batch_per_tick
-        self.tick_interval = float(tick_interval)
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.edge = SubmissionEdge(self.telemetry, dedup_capacity=dedup_capacity)
-        self._admission = InputAdmission(self.n_fibers, scheme.k)
-        self.queues = [
-            BoundedQueue(queue_capacity, overflow, admission)
-            for _ in range(self.n_fibers)
-        ]
         self.pool = ProcessShardPool(
             self.n_fibers,
             scheme,
@@ -158,42 +145,9 @@ class ProcessShardedService:
             unresponsive_timeout=unresponsive_timeout,
             telemetry=self.telemetry,
         )
-        # Per-shard breakers fed by connection health: a worker call that
-        # exhausts the pool's respawn budget counts a failure against
-        # every shard it owns; shards that answer count successes.  An
-        # open breaker short-circuits new submissions CIRCUIT_OPEN while
-        # queued ones degrade UNAVAILABLE — same three-state machine as
-        # the in-process service, driven by the same slot clock.
-        self.breakers = (
-            [
-                CircuitBreaker(breaker, self.telemetry, shard=o)
-                for o in range(self.n_fibers)
-            ]
-            if breaker is not None
-            else None
-        )
-        self._slot = 0
-        self._closed = False
-        self._timer_task: "asyncio.Task[None] | None" = None
-        self.rate_limiter = (
-            TokenBucketLimiter(rate_limit, self.telemetry)
-            if rate_limit is not None
-            else None
-        )
         self._migrator = ShardMigrator(self.pool, self.telemetry)
-        self._c_ticks = self.telemetry.counter("server.ticks")
-        self._c_shard_crashes = self.telemetry.counter("server.shard_crashes")
-        self._g_slot = self.telemetry.gauge("server.slot")
-        self._g_depth = self.telemetry.gauge("server.queue_depth_total")
-        self._h_tick = self.telemetry.histogram(
-            "server.tick_seconds", _TICK_BUCKETS
-        )
 
     # -- introspection -------------------------------------------------------
-
-    @property
-    def slot(self) -> int:
-        return self._slot
 
     @property
     def n_workers(self) -> int:
@@ -204,286 +158,115 @@ class ProcessShardedService:
         """shard → worker-process map (consistent-hash, stable)."""
         return dict(self.pool.placement)
 
-    @property
-    def queue_depth_total(self) -> int:
-        return sum(q.depth for q in self.queues)
-
     def worker_busy(self, output_fiber: int) -> list[int]:
         """The owning worker process's live ``busy[]`` for one shard
         (crosses the process boundary; tests and debugging)."""
         owner = self.pool.placement[output_fiber]
         return self.pool.call(owner, "busy")[output_fiber]
 
-    # -- submission ----------------------------------------------------------
+    # -- step 3: the worker fan-out -----------------------------------------
 
-    def submit_nowait(
+    async def _run_shards(
         self,
-        request: SlotRequest,
-        timeout: float | None = None,
-        *,
-        timeout_ticks: int | None = None,
-        request_id: str | None = None,
-    ) -> "asyncio.Future[ServiceGrant | Rejected]":
-        """Enqueue ``request``; same contract as the in-process service
-        (validation, wall-clock and slot deadlines, dedup, overflow
-        policy)."""
-        if self._closed:
-            raise SimulationError("service is stopped")
-        validate_slot_request(request, self.n_fibers, self.scheme.k)
-        if timeout is not None and timeout < 0:
-            raise InvalidParameterError(f"timeout must be >= 0, got {timeout}")
-        if timeout_ticks is not None and timeout_ticks < 0:
-            raise InvalidParameterError(
-                f"timeout_ticks must be >= 0, got {timeout_ticks}"
-            )
+        slot: int,
+        work: "list[tuple[int, list[PendingRequest]]]",
+        _context: object,
+    ) -> list[ShardOutcome]:
+        """Schedule and commit ``work`` in the worker processes.
+
+        Every *active* worker runs the tick — workers advance their owned
+        shards' channel clocks even with no requests this slot; the
+        physical clock never skips.  Stateful mode serializes contended
+        shards instead.  A worker that stays unreachable through the
+        pool's respawn budget (an edge↔worker partition) degrades
+        gracefully: its shards' requests resolve UNAVAILABLE this tick
+        instead of blowing up the whole tick, and the worker's clocks
+        catch up by journaled ADVANCE replay once it heals (see
+        worker_main's missed-slot catch-up).  A shard whose scheduling
+        crashed in its worker (a kernel row that failed the feasibility
+        check, a scheduler that raised) comes back as ``(None, reason)``:
+        its requests resolve SHARD_DOWN and only that shard loses the tick.
+        """
         loop = asyncio.get_running_loop()
-        future: "asyncio.Future[ServiceGrant | Rejected]" = loop.create_future()
-        deadline = None if timeout is None else loop.time() + timeout
-        deadline_slot = (
-            None if timeout_ticks is None else self._slot + timeout_ticks
-        )
-        if request_id is not None:
-            request_id = self.edge.check_duplicate(
-                request, request_id, future, self._slot
-            )
-            if future.done():
-                return future
-        pending = PendingRequest(
-            request,
-            future,
-            deadline,
-            time.perf_counter(),
-            request_id,
-            deadline_slot,
-        )
-        self.edge.note_submitted(request)
-        if self.rate_limiter is not None and not self.rate_limiter.allow(
-            request.tenant
-        ):
-            self.edge.resolve_rejected(
-                pending, RejectReason.RATE_LIMITED, self._slot
-            )
-            return future
-        if self.breakers is not None and not self.breakers[
-            request.output_fiber
-        ].allow(self._slot):
-            self.edge.resolve_rejected(pending, RejectReason.CIRCUIT_OPEN)
-            return future
-        queue = self.queues[request.output_fiber]
-        shed = queue.policy is OverflowPolicy.SHED
-        offer = queue.offer(pending)
-        if offer.evicted is not None:
-            self.edge.resolve_rejected(
-                offer.evicted,
-                RejectReason.ADMISSION_SHED if shed else RejectReason.DROPPED,
-            )
-        if not offer.accepted:
-            if shed:
-                reason = RejectReason.ADMISSION_SHED
-            elif queue.policy is OverflowPolicy.REJECT:
-                reason = RejectReason.QUEUE_FULL
-            else:
-                reason = RejectReason.DROPPED
-            self.edge.resolve_rejected(pending, reason)
-        return future
-
-    async def submit(
-        self, request: SlotRequest, timeout: float | None = None
-    ) -> "ServiceGrant | Rejected":
-        return await self.submit_nowait(request, timeout)
-
-    # -- one slot tick -------------------------------------------------------
-
-    async def tick(self) -> int:
-        """Run one slot tick across the worker processes; returns grants."""
-        if self._closed:
-            raise SimulationError("service is stopped")
-        loop = asyncio.get_running_loop()
-        now = loop.time()
-        slot = self._slot
-
-        # 1 + 2: drain + admission, shards in fiber order (identical code
-        # path to the in-process service: repro/service/tickloop.py).
-        work: dict[int, list[PendingRequest]] = {}
-        seen_inputs = self._admission.begin_tick()
-        for o in range(self.n_fibers):
-            drained = self.queues[o].drain(self.max_batch_per_tick)
-            survivors, expired, blocked = self._admission.admit(
-                drained, now, seen_inputs, slot
-            )
-            for p in expired:
-                self.edge.resolve_rejected(p, RejectReason.TIMED_OUT, slot)
-            for p in blocked:
-                self.edge.resolve_rejected(p, RejectReason.SOURCE_BLOCKED, slot)
-            if survivors:
-                work[o] = survivors
-
-        # 3: fan out to the worker processes (every *active* worker runs
-        # the tick — workers advance their owned shards' channel clocks
-        # even with no requests this slot; the physical clock never
-        # skips).  Stateful mode serializes contended shards instead.
-        # A worker that stays unreachable through the pool's respawn
-        # budget (an edge↔worker partition) degrades gracefully: its
-        # shards' requests resolve UNAVAILABLE this tick instead of
-        # blowing up the whole tick, its breakers count the failure, and
-        # the worker's clocks catch up by journaled ADVANCE replay once
-        # it heals (see worker_main's missed-slot catch-up).
-        # A shard whose scheduling crashed in its worker (a kernel row
-        # that failed the feasibility check, a scheduler that raised)
-        # comes back as (None, reason): its requests resolve SHARD_DOWN
-        # and only that shard loses the tick.
-        by_shard: dict[int, tuple[list | None, list | str]] = {}
-        unavailable: set[int] = set()
+        pool = self.pool
+        replies: dict[int, tuple[list | None, list | str]] = {}
         if self._stateful:
             # One call per contended shard, global fiber order, policy
             # state threaded through the replies (module docstring).  A
             # failed call leaves the canonical pre-draw state in place,
             # so the next reachable shard draws exactly what it would
             # have drawn had the dead shard never been contended.
-            for o in sorted(work):
-                wire = [request_tuple(p.request) for p in work[o]]
+            for o, survivors in work:
+                wire = [request_tuple(p.request) for p in survivors]
                 try:
-                    grant_tuples, rejected_pairs, new_state = (
-                        await self.pool.call_async(
-                            loop,
-                            self.pool.placement[o],
-                            "run_shard",
-                            slot,
-                            o,
-                            wire,
-                            self._policy_state,
-                        )
+                    grants, rejected, new_state = await pool.call_async(
+                        loop,
+                        pool.placement[o],
+                        "run_shard",
+                        slot,
+                        o,
+                        wire,
+                        self._policy_state,
                     )
                 except WorkerProcessError:
-                    unavailable.add(o)
                     continue
                 self._policy_state = new_state
-                by_shard[o] = (grant_tuples, rejected_pairs)
+                replies[o] = (grants, rejected)
             # End of tick: every active worker advances its shards,
             # carrying the tick's grants for crash self-healing.  An
             # unreachable worker misses its advance and catches up later.
             grants_by_worker: dict[int, dict[int, list]] = {
-                w: {} for w in self.pool.active_workers()
+                w: {} for w in pool.active_workers()
             }
-            for o, (grant_tuples, _rej) in by_shard.items():
-                grants_by_worker[self.pool.placement[o]][o] = grant_tuples
-            finish_replies = await asyncio.gather(
+            for o, (grants, _rej) in replies.items():
+                grants_by_worker[pool.placement[o]][o] = grants
+            finished = await asyncio.gather(
                 *(
-                    self.pool.call_async(loop, w, "finish_tick", slot, grants)
+                    pool.call_async(loop, w, "finish_tick", slot, grants)
                     for w, grants in grants_by_worker.items()
                 ),
                 return_exceptions=True,
             )
-            for reply in finish_replies:
+            for reply in finished:
                 if isinstance(reply, BaseException) and not isinstance(
                     reply, WorkerProcessError
                 ):
                     raise reply
         else:
             payloads: dict[int, list[tuple[int, list[tuple]]]] = {
-                w: [] for w in self.pool.active_workers()
+                w: [] for w in pool.active_workers()
             }
-            for o, survivors in work.items():
-                payloads[self.pool.placement[o]].append(
+            for o, survivors in work:
+                payloads[pool.placement[o]].append(
                     (o, [request_tuple(p.request) for p in survivors])
                 )
             calls = list(payloads.items())
-            replies = await asyncio.gather(
+            results = await asyncio.gather(
                 *(
-                    self.pool.call_async(loop, w, "run_tick", slot, payload)
+                    pool.call_async(loop, w, "run_tick", slot, payload)
                     for w, payload in calls
                 ),
                 return_exceptions=True,
             )
-            for (_w, payload), reply in zip(calls, replies):
-                if isinstance(reply, WorkerProcessError):
-                    unavailable.update(o for o, _wire in payload)
+            for result in results:
+                if isinstance(result, WorkerProcessError):
                     continue
-                if isinstance(reply, BaseException):
-                    raise reply
-                for o, grant_tuples, rejected_pairs in reply:
-                    by_shard[o] = (grant_tuples, rejected_pairs)
+                if isinstance(result, BaseException):
+                    raise result
+                for o, grants, rejected in result:
+                    replies[o] = (grants, rejected)
 
-        # 4: commit in fiber order (resolution order matches the
-        # in-process service, so counters and futures line up exactly).
-        n_granted = 0
-        for o in sorted(work):
-            survivors = work[o]
-            breaker = self.breakers[o] if self.breakers is not None else None
-            grant_tuples, rejected_pairs = by_shard.get(o, (None, None))
-            if grant_tuples is None:
-                if o in unavailable:
-                    reason = RejectReason.UNAVAILABLE
-                else:
-                    reason = RejectReason.SHARD_DOWN
-                    self._c_shard_crashes.inc()
-                for p in survivors:
-                    self.edge.resolve_rejected(p, reason, slot)
-                    if breaker is not None:
-                        breaker.record_failure(slot)
-                continue
-            by_input = {
-                (p.request.input_fiber, p.request.wavelength): p
-                for p in survivors
-            }
-            for in_f, wl, channel, _dur in grant_tuples:
-                p = by_input[(in_f, wl)]
-                self._admission.hold(p.request)
-                self.edge.note_granted(p.request)
-                self.edge.resolve(p, ServiceGrant(p.request, channel, slot))
-                if breaker is not None:
-                    breaker.record_success(slot)
-                n_granted += 1
-            for in_f, wl in rejected_pairs:
-                self.edge.resolve_rejected(
-                    by_input[(in_f, wl)], RejectReason.CONTENTION, slot
-                )
-                if breaker is not None:
-                    # Losing contention is a healthy outcome — the worker
-                    # answered; it counts toward closing, not opening.
-                    breaker.record_success(slot)
-
-        # 5: advance the input-side clock (workers advanced theirs in 3).
-        self._admission.decay()
-        if self.rate_limiter is not None:
-            self.rate_limiter.advance()
-        self._slot += 1
-        self._c_ticks.inc()
-        self._g_slot.set(self._slot)
-        self._g_depth.set(self.queue_depth_total)
-        self._h_tick.observe(loop.time() - now)
-        return n_granted
-
-    # -- run modes -----------------------------------------------------------
-
-    async def run_ticks(self, n: int) -> int:
-        check_positive_int(n, "n")
-        return sum([await self.tick() for _ in range(n)])
-
-    async def drain(self, max_ticks: int = 10_000) -> None:
-        ticks = 0
-        while self.queue_depth_total > 0:
-            if ticks >= max_ticks:
-                raise SimulationError(
-                    f"queues not drained after {max_ticks} ticks"
-                )
-            await self.tick()
-            ticks += 1
-
-    def start(self) -> None:
-        """Run ticks on a background task every ``tick_interval`` seconds."""
-        if self._timer_task is not None:
-            raise SimulationError("service already started")
-        if self._closed:
-            raise SimulationError("service is stopped")
-        self._timer_task = asyncio.get_running_loop().create_task(
-            self._timer_loop(), name="repro-procservice-ticks"
-        )
-
-    async def _timer_loop(self) -> None:
-        while True:
-            await self.tick()
-            await asyncio.sleep(self.tick_interval)
+        outcomes: list[ShardOutcome] = []
+        for o, _survivors in work:
+            reply = replies.get(o)
+            if reply is None:
+                outcomes.append(RejectReason.UNAVAILABLE)
+            elif reply[0] is None:
+                self._c_shard_crashes.inc()
+                outcomes.append(RejectReason.SHARD_DOWN)
+            else:
+                outcomes.append(reply)
+        return outcomes
 
     # -- live resharding / elasticity ---------------------------------------
 
@@ -578,18 +361,5 @@ class ProcessShardedService:
         it from its journals (needs ``journal_dir`` for kill durability)."""
         self.pool.kill_worker(worker_id)
 
-    async def stop(self) -> None:
-        """Stop ticking, flush queued requests as SHUTDOWN, stop workers."""
-        if self._timer_task is not None:
-            self._timer_task.cancel()
-            try:
-                await self._timer_task
-            except asyncio.CancelledError:
-                pass
-            self._timer_task = None
-        if not self._closed:
-            self._closed = True
-            for queue in self.queues:
-                for p in queue.drain():
-                    self.edge.resolve_rejected(p, RejectReason.SHUTDOWN)
-            self.pool.stop()
+    def _close(self) -> None:
+        self.pool.stop()

@@ -4,9 +4,10 @@ The paper proves the per-slot scheduling problem decomposes into ``N``
 independent per-output sub-problems, each solvable in ``O(k)`` / ``O(dk)``.
 This package serves that shape: one shard worker per output fiber
 (:mod:`~repro.service.shard`), bounded per-shard request queues with
-explicit backpressure (:mod:`~repro.service.queue`), an asyncio tick loop
-that batches submissions into slots and fans them out
-(:mod:`~repro.service.server`), one client and load generator over an
+explicit backpressure (:mod:`~repro.service.queue`), one service front
+that batches submissions into slot ticks (:mod:`~repro.service.tickloop`)
+with its shards in process (:mod:`~repro.service.server`) or in worker
+processes (:mod:`repro.net.procservice`), one client and load generator over an
 in-process service or TCP (:mod:`~repro.service.client`), and built-in
 telemetry (:mod:`~repro.service.telemetry`).
 

@@ -7,6 +7,8 @@ This is the transport-facing layer of the service, split out of
 (:mod:`repro.net.procservice`) — shares one implementation of the edge
 semantics:
 
+* the outcome types every front door resolves futures with
+  (:class:`ServiceGrant`, :class:`Rejected` and its :class:`RejectReason`),
 * a :class:`PendingRequest` envelope per in-flight submission,
 * the bounded request-id dedup table (exactly-once grants: a granted id
   replays its grant, an in-flight id answers ``DUPLICATE``, a rejected id
@@ -21,52 +23,112 @@ futures and counts.
 from __future__ import annotations
 
 import asyncio
+import enum
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.service.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.distributed import SlotRequest
-    from repro.service.server import Rejected, RejectReason, ServiceGrant
 
-__all__ = ["PendingRequest", "SubmissionEdge"]
+__all__ = [
+    "PendingRequest",
+    "Rejected",
+    "RejectReason",
+    "ServiceGrant",
+    "SubmissionEdge",
+]
+
+
+class RejectReason(enum.Enum):
+    """Why a submitted request did not get a channel."""
+
+    #: Lost the output contention this tick (no free compatible channel).
+    CONTENTION = "contention"
+    #: Input channel still busy with an earlier grant (or an earlier
+    #: request in the same tick) — blocked at source.
+    SOURCE_BLOCKED = "source_blocked"
+    #: Bounded shard queue was full under the ``REJECT`` policy.
+    QUEUE_FULL = "queue_full"
+    #: Dropped by a ``DROP_TAIL``/``DROP_OLDEST`` queue overflow.
+    DROPPED = "dropped"
+    #: Its slot deadline (``timeout_ticks``) passed before a tick could
+    #: schedule it.
+    TIMED_OUT = "timed_out"
+    #: Service stopped with the request still queued.
+    SHUTDOWN = "shutdown"
+    #: The owning shard worker is down (crashed, not yet restarted).
+    SHARD_DOWN = "shard_down"
+    #: Short-circuited by the shard's open circuit breaker.
+    CIRCUIT_OPEN = "circuit_open"
+    #: A retry of a ``request_id`` whose original is still in flight —
+    #: refused so at most one copy is ever scheduled (exactly-once; a
+    #: retry of an already *granted* id replays the original grant
+    #: instead of getting this).
+    DUPLICATE = "duplicate"
+    #: Shed by per-tenant admission control (``SHED`` overflow policy):
+    #: either evicted from the queue as the least-deserving request, or
+    #: refused at the door because the newcomer itself was least
+    #: deserving.  Unlike ``DROPPED``, the casualty is chosen by priority
+    #: class and weighted tenant share, not FIFO position.
+    ADMISSION_SHED = "admission_shed"
+    #: Refused at the edge by the per-tenant token-bucket rate limiter
+    #: (:mod:`repro.service.ratelimit`) — the tenant's bucket was empty,
+    #: so the request never reached a queue or a shard.
+    RATE_LIMITED = "rate_limited"
+    #: The backend responsible for this request is unreachable — an
+    #: edge↔worker partition or a worker that stayed unresponsive through
+    #: the pool's respawn budget.  Unlike ``SHARD_DOWN`` (the shard
+    #: itself crashed and its state is gone until supervision heals it),
+    #: the shard's state is intact somewhere we cannot currently reach;
+    #: the typed reject is the graceful degradation, and retrying after
+    #: the partition heals is expected to succeed.
+    UNAVAILABLE = "unavailable"
+
+
+@dataclass(frozen=True, slots=True)
+class ServiceGrant:
+    """A granted request: the assigned output channel and the grant slot."""
+
+    request: SlotRequest
+    channel: int
+    slot: int
+
+
+@dataclass(frozen=True, slots=True)
+class Rejected:
+    """A request that resolved without a channel, and why."""
+
+    request: SlotRequest
+    reason: RejectReason
+    slot: int | None = None
 
 
 class PendingRequest:
-    """Envelope for one in-flight submission: request + future + deadline
-    + submit timestamp (+ the caller's idempotency key when dedup is on).
+    """Envelope for one in-flight submission: request + future + submit
+    timestamp (+ the caller's idempotency key when dedup is on, + its slot
+    deadline).
 
-    Two deadline flavors coexist: ``deadline`` is a wall-clock event-loop
-    time (legacy ``timeout`` seconds), ``deadline_slot`` is a slot index —
-    the request expires ``TIMED_OUT`` when a tick drains it at
-    ``slot >= deadline_slot``.  Slot deadlines are the deterministic form
-    the wire protocol's ``timeout_ticks`` maps to: they advance with the
-    logical clock, not the wall, so a replayed schedule expires the same
-    requests at the same slots every run.
+    ``deadline_slot`` is a slot index: the request expires ``TIMED_OUT``
+    when a tick drains it at ``slot >= deadline_slot``.  It advances with
+    the logical clock, not the wall, so a replayed schedule expires the
+    same requests at the same slots every run.
     """
 
-    __slots__ = (
-        "request",
-        "future",
-        "deadline",
-        "deadline_slot",
-        "submitted_at",
-        "request_id",
-    )
+    __slots__ = ("request", "future", "deadline_slot", "submitted_at", "request_id")
 
     def __init__(
         self,
         request: "SlotRequest",
         future: "asyncio.Future[ServiceGrant | Rejected]",
-        deadline: float | None,
         submitted_at: float,
         request_id: str | None = None,
         deadline_slot: int | None = None,
     ) -> None:
         self.request = request
         self.future = future
-        self.deadline = deadline
         self.deadline_slot = deadline_slot
         self.submitted_at = submitted_at
         self.request_id = request_id
@@ -102,9 +164,6 @@ class SubmissionEdge:
         self.c_submitted = t.counter("server.submitted")
         self.c_granted = t.counter("server.granted")
         self._c_duplicate = t.counter("server.duplicate")
-        # Deferred import to break the server<->edge cycle.
-        from repro.service.server import RejectReason
-
         self._reason_counters = {
             RejectReason.CONTENTION: t.counter("server.rejected.contention"),
             RejectReason.SOURCE_BLOCKED: t.counter(
@@ -189,8 +248,6 @@ class SubmissionEdge:
             return None
         entry = self._dedup.get(request_id)
         if entry is not None:
-            from repro.service.server import Rejected, RejectReason
-
             self.note_submitted(request)
             self._c_duplicate.inc()
             key = (request.tenant, RejectReason.DUPLICATE)
@@ -222,8 +279,6 @@ class SubmissionEdge:
         entry = self._dedup.get(pending.request_id)
         if entry is None:  # evicted by the capacity bound
             return
-        from repro.service.server import ServiceGrant
-
         if isinstance(outcome, ServiceGrant):
             entry.outcome = outcome
         else:
@@ -244,8 +299,6 @@ class SubmissionEdge:
         reason: "RejectReason",
         slot: int | None = None,
     ) -> None:
-        from repro.service.server import Rejected
-
         self._reason_counters[reason].inc()
         tenant = pending.request.tenant
         key = (tenant, reason)

@@ -70,10 +70,8 @@ class ShardWorker:
         self.down = False
         self._crash_cause: BaseException | None = None
         prefix = f"shard.{output_fiber}"
-        self.offered = telemetry.counter(f"{prefix}.offered")
         self._granted = telemetry.counter(f"{prefix}.granted")
         self._rejected = telemetry.counter(f"{prefix}.rejected")
-        self._depth_gauge = telemetry.gauge(f"{prefix}.queue_depth")
         self._occupancy_gauge = telemetry.gauge(f"{prefix}.occupancy")
 
     # -- state views --------------------------------------------------------
@@ -202,7 +200,3 @@ class ShardWorker:
         """End of slot tick: ongoing connections age by one slot."""
         self._busy = [b - 1 if b > 0 else 0 for b in self._busy]
         self._occupancy_gauge.set(self.occupancy)
-        self._depth_gauge.set(self.queue.depth)
-
-    def update_depth_gauge(self) -> None:
-        self._depth_gauge.set(self.queue.depth)

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import InvalidParameterError
@@ -143,20 +144,16 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        # bisect over the bounds; len(bounds) is the overflow bucket.
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
+        # First bound >= value; len(bounds) is the overflow bucket.
+        i = bisect_left(self.bounds, value)
         with self._lock:
-            self._counts[lo] += 1
+            self._counts[i] += 1
             self._count += 1
             self._sum += value
-            self._min = min(self._min, value)
-            self._max = max(self._max, value)
+            if value < self._min:
+                self._min = value
+            if value > self._max:
+                self._max = value
 
     @property
     def count(self) -> int:

@@ -287,7 +287,7 @@ class TestRejectCodes:
         )
 
     class _UnavailableService(SchedulingService):
-        def submit_nowait(self, request, timeout=None, **kwargs):
+        def submit_nowait(self, request, **kwargs):
             fut = asyncio.get_running_loop().create_future()
             fut.set_result(
                 Rejected(request, RejectReason.UNAVAILABLE, slot=None)

@@ -74,7 +74,7 @@ class TestSubmitAndTick:
             with pytest.raises(InvalidParameterError):
                 service.submit_nowait(SlotRequest(99, 0, 0))
             with pytest.raises(InvalidParameterError):
-                service.submit_nowait(SlotRequest(0, 0, 0), timeout=-1.0)
+                service.submit_nowait(SlotRequest(0, 0, 0), timeout_ticks=-1)
 
         run(go())
 
@@ -98,7 +98,7 @@ class TestTimeouts:
     def test_expired_deadline_times_out_at_tick(self):
         async def go():
             service = make_service()
-            future = service.submit_nowait(SlotRequest(0, 0, 0), timeout=0.0)
+            future = service.submit_nowait(SlotRequest(0, 0, 0), timeout_ticks=0)
             await service.tick()
             return await future
 
@@ -108,11 +108,11 @@ class TestTimeouts:
 
     def test_queued_request_times_out_when_batch_cap_delays_it(self):
         async def go():
-            # Batch cap 1: the second request waits a tick and its 0-second
+            # Batch cap 1: the second request waits a tick and its 0-tick
             # deadline expires before it is ever scheduled.
             service = make_service(max_batch_per_tick=1)
             f1 = service.submit_nowait(SlotRequest(0, 0, 0))
-            f2 = service.submit_nowait(SlotRequest(1, 1, 0), timeout=0.0)
+            f2 = service.submit_nowait(SlotRequest(1, 1, 0), timeout_ticks=0)
             await service.tick()
             assert (await f1).channel is not None
             assert not f2.done()
@@ -383,7 +383,7 @@ class TestTelemetryConservation:
                 for w in range(6):
                     service.submit_nowait(
                         SlotRequest(i, w, (i + w) % 4),
-                        timeout=0.0 if (i + w) % 5 == 0 else None,
+                        timeout_ticks=0 if (i + w) % 5 == 0 else None,
                     )
             await service.tick()
             for i in range(4):
@@ -505,22 +505,6 @@ class TestLifecycle:
 
         run(go())
 
-    def test_scheduler_factory_gives_each_shard_its_own(self):
-        service = SchedulingService(
-            3,
-            CircularConversion(6, 1, 1),
-            scheduler_factory=BreakFirstAvailableScheduler,
-        )
-        schedulers = {id(s.scheduler) for s in service.shards}
-        assert len(schedulers) == 3
-
     def test_scheduler_args_exclusive(self):
         with pytest.raises(InvalidParameterError):
             SchedulingService(2, CircularConversion(6, 1, 1))
-        with pytest.raises(InvalidParameterError):
-            SchedulingService(
-                2,
-                CircularConversion(6, 1, 1),
-                BreakFirstAvailableScheduler(),
-                scheduler_factory=BreakFirstAvailableScheduler,
-            )
