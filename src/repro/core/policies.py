@@ -35,12 +35,9 @@ class GrantPolicy(ABC):
     """Selects ``n`` winners among the requesters of one wavelength on one
     output fiber.  Implementations may keep per-(output, wavelength) state
     across slots (round-robin) but must not share state across output fibers,
-    so the per-output schedulers stay independent ("distributed")."""
-
-    #: True when every piece of mutable state is keyed by output fiber, so
-    #: per-worker policy instances over disjoint shards behave exactly like
-    #: one shared instance (multi-process placement relies on this).
-    state_partitioned_by_output: bool = True
+    so the per-output schedulers stay independent ("distributed"): output
+    ``o``'s winners depend only on ``o``'s own history, and its state slice
+    (:meth:`export_output_state`) is all a scheduler of ``o`` needs."""
 
     @abstractmethod
     def select(
@@ -95,13 +92,10 @@ class GrantPolicy(ABC):
     def export_output_state(self, output_fiber: int) -> object | None:
         """The slice of :meth:`export_state` keyed by ``output_fiber``.
 
-        Live shard migration ships exactly one output fiber's worth of
-        policy state in the handoff payload
-        (:mod:`repro.service.resharding`), so partitioned policies must
-        be able to cut that slice out and graft it back in.  ``None``
-        for stateless policies and for policies whose state is *not*
-        partitioned by output (their canonical state lives with whoever
-        drives the tick, never with a shard owner).
+        The multi-process service keeps the live policy in its front and
+        ships each contended shard's slice to the worker that schedules
+        it, absorbing the slice the worker returns.  ``None`` for
+        stateless policies and for an output fiber with no state yet.
         """
         return None
 
@@ -111,15 +105,12 @@ class GrantPolicy(ABC):
         """Graft a slice exported by another instance for ``output_fiber``
         (inverse of :meth:`export_output_state`; accepts its JSON
         round-trip).  Replaces any state this instance already holds for
-        that output fiber."""
+        that output fiber; ``None`` resets it."""
         if state is not None:
             raise InvalidParameterError(
                 f"{type(self).__name__} carries no per-output state; "
                 f"cannot absorb {state!r}"
             )
-
-    def discard_output_state(self, output_fiber: int) -> None:
-        """Forget ``output_fiber``'s slice (the shard migrated away)."""
 
     def _check(self, requesters: Sequence[Hashable], n: int) -> int:
         if n < 0:
@@ -149,27 +140,68 @@ class FixedPriorityPolicy(GrantPolicy):
 
 
 class RandomPolicy(GrantPolicy):
-    """Uniform random winners (the paper's "random selecting")."""
+    """Uniform random winners (the paper's "random selecting").
 
-    #: One RNG feeds every output fiber's draws, so per-worker instances
-    #: would diverge from a single shared instance.
-    state_partitioned_by_output = False
+    Output fiber ``o`` draws from its own stream, derived from the seed
+    and ``o`` alone (the :class:`~numpy.random.SeedSequence` child with
+    spawn key ``(*seed.spawn_key, o)``), so one output's winners never
+    depend on how often another output drew.  Streams are created on an
+    output's first contended selection.
+    """
 
     def __init__(self, seed: int | np.random.Generator | None = None) -> None:
-        self._rng = make_rng(seed)
+        self._seed_seq = make_rng(seed).bit_generator.seed_seq
+        self._streams: dict[int, np.random.Generator] = {}
+
+    def _stream(self, output_fiber: int) -> np.random.Generator:
+        rng = self._streams.get(output_fiber)
+        if rng is None:
+            root = self._seed_seq
+            rng = self._streams[output_fiber] = np.random.default_rng(
+                np.random.SeedSequence(
+                    root.entropy,
+                    spawn_key=(*root.spawn_key, output_fiber),
+                    pool_size=root.pool_size,
+                )
+            )
+        return rng
 
     def export_state(self) -> object:
+        return {
+            "streams": [
+                [o, self.export_output_state(o)] for o in sorted(self._streams)
+            ]
+        }
+
+    def restore_state(self, state: object | None) -> None:
+        if not isinstance(state, dict) or "streams" not in state:
+            raise InvalidParameterError(
+                f"RandomPolicy needs a streams dict, got {state!r}"
+            )
+        self._streams = {}
+        for o, stream_state in state["streams"]:
+            self.absorb_output_state(int(o), stream_state)
+
+    def export_output_state(self, output_fiber: int) -> object | None:
+        rng = self._streams.get(output_fiber)
+        if rng is None:
+            return None
         # bit_generator.state is a plain dict of strings and (big) ints —
         # JSON-encodable as required; deep-copy via the JSON round trip so
         # the caller's snapshot cannot alias the live generator state.
-        return json.loads(json.dumps(self._rng.bit_generator.state))
+        return json.loads(json.dumps(rng.bit_generator.state))
 
-    def restore_state(self, state: object | None) -> None:
+    def absorb_output_state(
+        self, output_fiber: int, state: object | None
+    ) -> None:
+        self._streams.pop(output_fiber, None)
+        if state is None:
+            return
         if not isinstance(state, dict):
             raise InvalidParameterError(
                 f"RandomPolicy needs a bit-generator state dict, got {state!r}"
             )
-        self._rng.bit_generator.state = state
+        self._stream(output_fiber).bit_generator.state = state
 
     def select(
         self,
@@ -181,11 +213,12 @@ class RandomPolicy(GrantPolicy):
         n = self._check(requesters, n)
         if n == len(requesters):
             return list(requesters)
+        rng = self._stream(output_fiber)
         if n == 1:
             # The common contention case; integers() costs a fraction of a
             # without-replacement choice() on these tiny pools.
-            return [requesters[self._rng.integers(len(requesters))]]
-        idx = self._rng.permutation(len(requesters))[:n]
+            return [requesters[rng.integers(len(requesters))]]
+        idx = rng.permutation(len(requesters))[:n]
         idx.sort()
         return [requesters[i] for i in idx]
 
@@ -230,7 +263,8 @@ class RoundRobinPolicy(GrantPolicy):
     def absorb_output_state(
         self, output_fiber: int, state: object | None
     ) -> None:
-        self.discard_output_state(output_fiber)
+        for key in [k for k in self._pointers if k[0] == output_fiber]:
+            del self._pointers[key]
         if state is None:
             return
         if not isinstance(state, dict) or "pointers" not in state:
@@ -244,10 +278,6 @@ class RoundRobinPolicy(GrantPolicy):
                     f"for output {o}"
                 )
             self._pointers[(int(o), int(w))] = last
-
-    def discard_output_state(self, output_fiber: int) -> None:
-        for key in [k for k in self._pointers if k[0] == output_fiber]:
-            del self._pointers[key]
 
     def select(
         self,
@@ -387,7 +417,9 @@ class WeightedFairPolicy(GrantPolicy):
     def absorb_output_state(
         self, output_fiber: int, state: object | None
     ) -> None:
-        self.discard_output_state(output_fiber)
+        self._credits.pop(output_fiber, None)
+        for key in [k for k in self._pointers if k[0] == output_fiber]:
+            del self._pointers[key]
         if state is None:
             return
         if (
@@ -413,11 +445,6 @@ class WeightedFairPolicy(GrantPolicy):
                     f"for output {o}"
                 )
             self._pointers[(int(o), int(t))] = int(last)
-
-    def discard_output_state(self, output_fiber: int) -> None:
-        self._credits.pop(output_fiber, None)
-        for key in [k for k in self._pointers if k[0] == output_fiber]:
-            del self._pointers[key]
 
     # -- selection -----------------------------------------------------------
 

@@ -20,9 +20,16 @@ PR 5, extended across the process boundary:
   write-ahead of a tick the parent never saw complete), rewrites the
   journal, and replays the rest to rebuild ``busy[]`` exactly;
 * a tick the worker already completed (its slot is behind the recovered
-  clock) is answered **from the journal** — the replayed GRANT records —
-  never re-scheduled, so parent retries after a crash-between-commit-and
-  -reply return bit-identical grants.
+  clock: it died after advancing, before replying) is **run again** —
+  the shard drops that slot's records, replays the rest, and schedules
+  from the same start-of-slot ``busy[]`` and the same policy slice, so
+  parent retries return bit-identical grants.
+
+Workers hold no grant-policy state between ticks.  The parent's service
+front owns the live policy and sends each contended shard's slice
+(:meth:`~repro.core.policies.GrantPolicy.export_output_state`) with its
+``run_tick`` row; the reply carries the post-tick slice back.  A respawn
+therefore has no policy state to lose.
 
 The parent's retry loop (:meth:`ProcessShardPool.call`) respawns a dead
 worker and re-sends the same payload; repeated failures of one call
@@ -90,6 +97,7 @@ class _WorkerShard:
     def __init__(self, output_fiber: int, k: int, journal: ShardJournal) -> None:
         self.output_fiber = output_fiber
         self.journal = journal
+        self.busy = [0] * k
         # Strip the write-ahead of an in-flight tick: everything after the
         # last ADVANCE is GRANTs the parent never saw committed, and the
         # parent will re-send that tick.  Keeping them would double-apply.
@@ -98,12 +106,20 @@ class _WorkerShard:
         for i, rec in enumerate(records):
             if rec.type is RecordType.ADVANCE:
                 last_advance = i
-        kept = records[: last_advance + 1]
+        self._restart(records, records[: last_advance + 1])
+
+    def rewind(self, slot: int) -> None:
+        """Drop the records of ``slot`` onward and rebuild ``busy[]`` from
+        the rest: the shard is back at the start of ``slot``."""
+        records, _torn = self.journal.reload()
+        self._restart(records, [rec for rec in records if rec.tick < slot])
+
+    def _restart(self, records: list, kept: list) -> None:
         if len(kept) != len(records):
-            journal.rewrite_records(kept)
-        busy, _queue, tick, _n = replay_journal(kept, None, k)
-        self.busy = busy
-        self.next_tick = tick
+            self.journal.rewrite_records(kept)
+        self.busy, _queue, self.next_tick, _n = replay_journal(
+            kept, None, len(self.busy)
+        )
 
     def availability(self) -> list[bool]:
         return [b == 0 for b in self.busy]
@@ -112,27 +128,6 @@ class _WorkerShard:
         self.journal.advance(slot)
         self.busy = [b - 1 if b > 0 else 0 for b in self.busy]
         self.next_tick = slot + 1
-
-    def replayed_grants(self, slot: int) -> list[tuple[int, int, int, int]]:
-        """GRANT tuples this shard journaled for an already-run ``slot``."""
-        out: list[tuple[int, int, int, int]] = []
-        for rec in self.journal.records():
-            if rec.type is RecordType.GRANT and rec.tick == slot:
-                v = rec.values
-                out.extend(
-                    (v[i], v[i + 1], v[i + 2], v[i + 3])
-                    for i in range(0, len(v), 4)
-                )
-        return out
-
-    def crashed_at(self, slot: int) -> bool:
-        """Whether this shard journaled a scheduling crash at ``slot``."""
-        return any(
-            rec.type is RecordType.FAULT
-            and rec.tick == slot
-            and rec.values[0] == FAULT_CRASH
-            for rec in self.journal.records()
-        )
 
 
 def _journal_path(journal_dir: str, worker_id: int, o: int) -> Path:
@@ -180,44 +175,46 @@ def worker_main(
         if op == "run_tick":
             # One batch-kernel call for every owned shard of this tick
             # (schedule_tick, the same function the in-process service
-            # ticks with).  Reply entries are (o, grant tuples, rejected
-            # pairs), or (o, None, reason) for a shard that crashed.
+            # ticks with).  Work entries are (o, request tuples, policy
+            # slice); reply entries are (o, grant tuples, rejected pairs,
+            # policy slice), or (o, None, reason, policy slice) for a
+            # shard that crashed.  The front owns the live policy: each
+            # slice is absorbed before scheduling and handed back after,
+            # so the worker keeps no policy state between ticks.
             _slot, work = msg[1], msg[2]
-            result: list[tuple[int, list | None, list | str]] = []
             rows: list[FiberRow] = []
-            for o, req_tuples in work:
+            for o, req_tuples, policy_slice in work:
                 shard = shards[o]
-                requests = [SlotRequest(*t) for t in req_tuples]
                 if _slot < shard.next_tick:
-                    # Redelivery of a completed tick: answer from the
-                    # journal, never re-schedule (busy[] has moved on).
-                    if shard.crashed_at(_slot):
-                        result.append((o, None, "crashed (replayed)"))
-                        continue
-                    winners = shard.replayed_grants(_slot)
-                    won = {(w[0], w[1]) for w in winners}
-                    rejected = [
-                        (r.input_fiber, r.wavelength)
-                        for r in requests
-                        if (r.input_fiber, r.wavelength) not in won
-                    ]
-                    result.append((o, winners, rejected))
-                    continue
+                    # Redelivery of a tick this worker completed but never
+                    # acknowledged: run it again from the same start-of-
+                    # slot busy[] and policy slice — same grants.
+                    shard.rewind(_slot)
                 # Catch up slots this shard missed while its worker was
                 # unreachable (parent ticks kept running): pure journaled
                 # clock decay, so availability reflects the start of
                 # ``_slot`` exactly as if the worker had been up.
                 while shard.next_tick < _slot:
                     shard.advance(shard.next_tick)
+                policy.absorb_output_state(o, policy_slice)
                 rows.append(
-                    FiberRow(o, requests, shard.availability(), scheduler)
+                    FiberRow(
+                        o,
+                        [SlotRequest(*t) for t in req_tuples],
+                        shard.availability(),
+                        scheduler,
+                    )
                 )
+            result: list[tuple[int, list | None, list | str, object]] = []
             granted_any = False
             for row, outcome in zip(rows, schedule_tick(scheme, policy, rows)):
                 o = row.output_fiber
-                entry = _commit_outcome(shards[o], _slot, outcome)
-                granted_any = granted_any or bool(entry[0])
-                result.append((o, *entry))
+                grants, rejected = _commit_outcome(shards[o], _slot, outcome)
+                granted_any = granted_any or bool(grants)
+                result.append(
+                    (o, grants, rejected, policy.export_output_state(o))
+                )
+                policy.absorb_output_state(o, None)
             if poison == POISON_AFTER_GRANT and granted_any:
                 os._exit(1)  # died between grant journaling and advance
             for shard in shards.values():
@@ -229,63 +226,6 @@ def worker_main(
             if poison == POISON_BEFORE_REPLY:
                 os._exit(1)  # died after completing, before replying
             conn.send(("tick_done", result))
-        elif op == "run_shard":
-            # Stateful-policy mode: one shard, policy state threaded
-            # through the reply (see ProcessShardedService's stateful
-            # tick).  Never answered from the journal — a respawn strips
-            # this call's write-ahead GRANTs (they sit after the last
-            # ADVANCE), so the retry re-runs the identical computation
-            # on the identical pre-draw policy state.
-            _slot, o, req_tuples, policy_state = msg[1], msg[2], msg[3], msg[4]
-            shard = shards[o]
-            if _slot < shard.next_tick:
-                conn.send(
-                    (
-                        "error",
-                        f"stateful tick {_slot} redelivered to shard {o} "
-                        f"after its clock advanced to {shard.next_tick}",
-                    )
-                )
-                continue
-            policy.restore_state(policy_state)
-            # Same missed-slot catch-up as run_tick (partition healing).
-            while shard.next_tick < _slot:
-                shard.advance(shard.next_tick)
-            requests = [SlotRequest(*t) for t in req_tuples]
-            row = FiberRow(o, requests, shard.availability(), scheduler)
-            (outcome,) = schedule_tick(scheme, policy, [row])
-            grant_tuples, rejected = _commit_outcome(shard, _slot, outcome)
-            if grant_tuples and poison == POISON_AFTER_GRANT:
-                os._exit(1)  # died between grant journaling and reply
-            if poison == POISON_BEFORE_REPLY:
-                os._exit(1)
-            conn.send(
-                ("shard_done", (grant_tuples, rejected, policy.export_state()))
-            )
-        elif op == "finish_tick":
-            # Stateful-policy mode, end of tick: advance every owned
-            # shard.  Self-healing: a respawn between the per-shard calls
-            # and here stripped the already-granted shards' write-ahead
-            # GRANTs, so the parent sends every shard's grant tuples back
-            # and any shard whose journal lost them re-applies before
-            # advancing (idempotent — a shard that kept its grants skips).
-            _slot, grants_by_shard = msg[1], msg[2]
-            for o, shard in shards.items():
-                if _slot < shard.next_tick:
-                    continue
-                # Partition healing: decay the missed slots *before*
-                # re-applying this slot's grants (they were computed
-                # against availability at the start of ``_slot``).
-                while shard.next_tick < _slot:
-                    shard.advance(shard.next_tick)
-                if not shard.replayed_grants(_slot):
-                    tuples = grants_by_shard.get(o) or []
-                    if tuples:
-                        shard.journal.grant_batch(_slot, tuples)
-                        for _in, _wl, ch, dur in tuples:
-                            shard.busy[ch] = dur
-                shard.advance(_slot)
-            conn.send(("ok",))
         elif op == "export_shard":
             o = msg[1]
             shard = shards.get(o)
@@ -300,7 +240,6 @@ def worker_main(
                 shard.next_tick,
                 shard.busy,
                 shard.journal.records(),
-                policy.export_output_state(o),
             )
             conn.send(("handoff", payload.encode()))
         elif op == "adopt_shard":
@@ -322,7 +261,6 @@ def worker_main(
             journal = _open_journal(journal_dir, worker_id, o)
             journal.rewrite_records(records)
             shard = _WorkerShard(o, scheme.k, journal)
-            policy.absorb_output_state(o, payload.policy_state)
             shards[o] = shard
             if poison == POISON_AFTER_ADOPT:
                 os._exit(1)  # died with the replica installed, unacked
@@ -334,7 +272,6 @@ def worker_main(
             shard = shards.pop(o, None)
             if shard is not None:
                 shard.journal.close()
-            policy.discard_output_state(o)
             if journal_dir is not None:
                 try:
                     _journal_path(journal_dir, worker_id, o).unlink(
@@ -447,7 +384,6 @@ class ProcessShardPool:
         *,
         n_workers: int = 2,
         journal_dir: str | os.PathLike | None = None,
-        ring_replicas: int = 256,
         unresponsive_timeout: float = 30.0,
         telemetry=None,
     ) -> None:
@@ -462,7 +398,6 @@ class ProcessShardPool:
         self.scheduler = scheduler
         self.policy = policy
         self.journal_dir = None if journal_dir is None else str(journal_dir)
-        self.ring_replicas = ring_replicas
         #: How long ``_recv`` waits for a *live* worker before declaring
         #: it wedged.  A wedged worker is killed and respawned like a
         #: crashed one (ticks are idempotent on redelivery).
@@ -472,7 +407,7 @@ class ProcessShardPool:
             None if telemetry is None
             else telemetry.counter("procpool.unresponsive")
         )
-        self.ring = HashRing(range(n_workers), replicas=ring_replicas)
+        self.ring = HashRing(range(n_workers))
         #: Live shard → worker map.  Seeded from the bounded-load ring,
         #: then *mutated* by live migration: :meth:`set_owner` flips one
         #: entry atomically between ticks, and worker respawns read this
@@ -697,7 +632,7 @@ class ProcessShardPool:
 
     def kill_worker(self, worker_id: int) -> None:
         """Hard-kill a worker (tests/chaos): SIGKILL, no cleanup."""
-        h = self._workers[worker_id]
+        h = self._check_worker(worker_id)
         if h.process is not None and h.process.is_alive():
             h.process.kill()
             h.process.join(timeout=5.0)

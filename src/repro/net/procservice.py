@@ -17,32 +17,22 @@ scheduler that raises) loses that tick only: its requests resolve
 on in the worker.
 
 Because the per-output decision is a pure function of (scheme,
-scheduler, stateless policy, requests, busy[]) — the paper's
+scheduler, the output's policy slice, requests, busy[]) — the paper's
 decomposition — moving it across a process boundary cannot change any
 grant: the slot-by-slot equivalence gate against
 :class:`~repro.sim.engine.SlottedSimulator` holds bit-identically, and
 ``tests/test_net_equivalence.py`` enforces it, kills included.
 
 What the parent keeps in-process: queues (requests not yet drained),
-futures, dedup, admission.  What each worker owns: its shards'
-``busy[]`` clocks and their write-ahead journals (its own directory).
-A killed worker is respawned by the pool, rebuilds ``busy[]`` by journal
-replay, and the in-flight tick is re-delivered idempotently — grants a
-dead worker had already journaled are replayed from the journal, never
-re-scheduled.
-
-Statefulness rule: a policy whose mutable state partitions by output
-fiber (``state_partitioned_by_output`` — FixedPriority, RoundRobin,
-WeightedFair) runs on per-worker instances and ticks fan out in
-parallel.  A policy with *cross-output* state (``RandomPolicy``: one RNG
-feeds every output's draws) runs in **stateful mode**: the parent owns
-the canonical policy state and threads it through one worker call per
-contended shard, in global fiber order — each reply ships the post-draw
-state back — so the draw sequence is bit-identical to the in-process
-service and the simulator, at the price of serializing the
-contended shards' scheduling.  Crash recovery stays exact in both modes
-(see the ``finish_tick`` self-healing note in
-:func:`repro.net.procpool.worker_main`).
+futures, dedup, admission, and the live grant policy.  What each worker
+owns: its shards' ``busy[]`` clocks and their write-ahead journals (its
+own directory).  Every policy keeps its state per output fiber, so the
+parent sends each contended shard's slice with its ``run_tick`` row and
+absorbs the slice the worker hands back; workers hold no policy state
+between ticks.  A killed worker is respawned by the pool, rebuilds
+``busy[]`` by journal replay, and the in-flight tick is re-delivered with
+the same slices — a tick the dead worker had already completed is run
+again from the same inputs, so its grants come out bit-identical.
 
 The shard→worker placement is **live**: the migration engine
 (:mod:`repro.service.resharding`, surfaced here as
@@ -127,14 +117,6 @@ class ProcessShardedService(ServiceFront):
             rate_limit=rate_limit,
             dedup_capacity=dedup_capacity,
         )
-        # Cross-output policy state (RandomPolicy) → stateful mode: the
-        # parent owns the canonical state and threads it through one
-        # worker call per contended shard in fiber order (see module
-        # docstring); partitioned policies fan out in parallel.
-        self._stateful = not self.policy.state_partitioned_by_output
-        self._policy_state = (
-            self.policy.export_state() if self._stateful else None
-        )
         self.pool = ProcessShardPool(
             self.n_fibers,
             scheme,
@@ -176,11 +158,13 @@ class ProcessShardedService(ServiceFront):
 
         Every *active* worker runs the tick — workers advance their owned
         shards' channel clocks even with no requests this slot; the
-        physical clock never skips.  Stateful mode serializes contended
-        shards instead.  A worker that stays unreachable through the
+        physical clock never skips.  Each contended shard's policy slice
+        rides with its row, and the slice each reply carries back replaces
+        the front's.  A worker that stays unreachable through the
         pool's respawn budget (an edge↔worker partition) degrades
         gracefully: its shards' requests resolve UNAVAILABLE this tick
-        instead of blowing up the whole tick, and the worker's clocks
+        instead of blowing up the whole tick, its shards keep their
+        pre-tick policy slices, and the worker's clocks
         catch up by journaled ADVANCE replay once it heals (see
         worker_main's missed-slot catch-up).  A shard whose scheduling
         crashed in its worker (a kernel row that failed the feasibility
@@ -189,73 +173,34 @@ class ProcessShardedService(ServiceFront):
         """
         loop = asyncio.get_running_loop()
         pool = self.pool
-        replies: dict[int, tuple[list | None, list | str]] = {}
-        if self._stateful:
-            # One call per contended shard, global fiber order, policy
-            # state threaded through the replies (module docstring).  A
-            # failed call leaves the canonical pre-draw state in place,
-            # so the next reachable shard draws exactly what it would
-            # have drawn had the dead shard never been contended.
-            for o, survivors in work:
-                wire = [request_tuple(p.request) for p in survivors]
-                try:
-                    grants, rejected, new_state = await pool.call_async(
-                        loop,
-                        pool.placement[o],
-                        "run_shard",
-                        slot,
-                        o,
-                        wire,
-                        self._policy_state,
-                    )
-                except WorkerProcessError:
-                    continue
-                self._policy_state = new_state
-                replies[o] = (grants, rejected)
-            # End of tick: every active worker advances its shards,
-            # carrying the tick's grants for crash self-healing.  An
-            # unreachable worker misses its advance and catches up later.
-            grants_by_worker: dict[int, dict[int, list]] = {
-                w: {} for w in pool.active_workers()
-            }
-            for o, (grants, _rej) in replies.items():
-                grants_by_worker[pool.placement[o]][o] = grants
-            finished = await asyncio.gather(
-                *(
-                    pool.call_async(loop, w, "finish_tick", slot, grants)
-                    for w, grants in grants_by_worker.items()
-                ),
-                return_exceptions=True,
-            )
-            for reply in finished:
-                if isinstance(reply, BaseException) and not isinstance(
-                    reply, WorkerProcessError
-                ):
-                    raise reply
-        else:
-            payloads: dict[int, list[tuple[int, list[tuple]]]] = {
-                w: [] for w in pool.active_workers()
-            }
-            for o, survivors in work:
-                payloads[pool.placement[o]].append(
-                    (o, [request_tuple(p.request) for p in survivors])
+        policy = self.policy
+        payloads: dict[int, list[tuple[int, list[tuple], object]]] = {
+            w: [] for w in pool.active_workers()
+        }
+        for o, survivors in work:
+            payloads[pool.placement[o]].append(
+                (
+                    o,
+                    [request_tuple(p.request) for p in survivors],
+                    policy.export_output_state(o),
                 )
-            calls = list(payloads.items())
-            results = await asyncio.gather(
-                *(
-                    pool.call_async(loop, w, "run_tick", slot, payload)
-                    for w, payload in calls
-                ),
-                return_exceptions=True,
             )
-            for result in results:
-                if isinstance(result, WorkerProcessError):
-                    continue
-                if isinstance(result, BaseException):
-                    raise result
-                for o, grants, rejected in result:
-                    replies[o] = (grants, rejected)
-
+        results = await asyncio.gather(
+            *(
+                pool.call_async(loop, w, "run_tick", slot, payload)
+                for w, payload in payloads.items()
+            ),
+            return_exceptions=True,
+        )
+        replies: dict[int, tuple[list | None, list | str]] = {}
+        for result in results:
+            if isinstance(result, WorkerProcessError):
+                continue
+            if isinstance(result, BaseException):
+                raise result
+            for o, grants, rejected, policy_slice in result:
+                policy.absorb_output_state(o, policy_slice)
+                replies[o] = (grants, rejected)
         outcomes: list[ShardOutcome] = []
         for o, _survivors in work:
             reply = replies.get(o)
@@ -294,8 +239,8 @@ class ProcessShardedService(ServiceFront):
         quiesce phase of :mod:`repro.service.resharding` is the tick
         boundary itself).  Blocks until the handoff verifies; the
         placement flip is atomic, so the next tick routes the shard to
-        its new owner and redelivered grants replay from the transferred
-        journal exactly once.
+        its new owner, which rebuilt its ``busy[]`` from the transferred
+        journal.  The shard's policy slice never moves: the front owns it.
         """
         return self._migrator.migrate(
             shard, destination, crashpoints=crashpoints

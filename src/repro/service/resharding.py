@@ -3,9 +3,9 @@
 The paper fixes each output fiber's scheduler in place; a production
 service must move shards between workers **while traffic flows**.  This
 module is that engine, built directly on the PR-5 durability substrate:
-a shard's complete worker-side state is its write-ahead journal (plus,
-for partitioned policies, its slice of grant-policy state), and replaying
-that journal is already proven bit-identical to never having crashed —
+a shard's complete worker-side state is its write-ahead journal (the
+grant policy lives in the service front, never with a shard owner), and
+replaying that journal is already proven bit-identical to never having crashed —
 so a migration is nothing more than handing the journal to a new owner
 and letting the same replay rebuild the same ``busy[]`` clocks.
 
@@ -15,15 +15,15 @@ no tick is ever in flight when the engine runs)::
       QUIESCE          tick boundary reached; source still authoritative
         |
       EXPORT           source serializes shard → HandoffPayload
-        |                (journal records + policy slice + busy/tick)
+        |                (journal records + busy/tick)
       ADOPT            destination rewrites its journal from the payload,
         |                replays it, reports the rebuilt (tick, busy[])
       [verify]         engine cross-checks replica == exported state
         |
       FLIP             placement map now names the destination (atomic:
         |                a dict write between ticks; next tick routes there)
-      RELEASE          source closes + deletes its copy, drops its policy
-        |                slice (cleanup only — destination is authoritative)
+      RELEASE          source closes + deletes its copy
+        |                (cleanup only — destination is authoritative)
       DONE
 
 Every arrow is a crash point (:class:`repro.faults.CrashPoints` names
@@ -31,9 +31,9 @@ Every arrow is a crash point (:class:`repro.faults.CrashPoints` names
 **re-drivable from any of them**: before the flip the source never
 stopped being authoritative (a retry simply re-exports); after the flip
 the destination is authoritative and a retry only re-runs the idempotent
-release cleanup.  In-flight grants are never redelivered twice: the
-journal travels whole, so the new owner answers a redelivered tick from
-the same GRANT records the old owner would have — the exactly-once
+release cleanup.  The journal travels whole, so the new owner rebuilds
+the same start-of-slot ``busy[]`` the old owner had, and a redelivered
+tick re-runs there exactly as it would have on the old owner — the
 redelivery contract of :mod:`repro.net.procpool`, preserved across the
 move.
 
@@ -53,7 +53,6 @@ a serial queue.
 
 from __future__ import annotations
 
-import json
 import struct
 import time
 import zlib
@@ -176,7 +175,7 @@ def plan_waves(moves: Iterable[ShardMove]) -> list[list[ShardMove]]:
 # -- handoff payload ---------------------------------------------------------
 
 _MAGIC = b"RHND"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("!HIIQ")  # version, shard, k, next_tick
 _U32 = struct.Struct("!I")
 _U64 = struct.Struct("!Q")
@@ -190,8 +189,6 @@ class HandoffPayload:
     record stream (:func:`repro.service.journal.encode_record` framing);
     ``busy``/``next_tick`` are the exporter's live state, carried so the
     adopter can prove its replay reconstructed the identical replica.
-    ``policy_state`` is the grant policy's per-output slice
-    (:meth:`~repro.core.policies.GrantPolicy.export_output_state`);
     ``snapshot`` optionally carries an encoded
     :class:`~repro.service.snapshot.ShardSnapshot` for journals that have
     been compacted against one (the in-process durability path — worker
@@ -203,7 +200,6 @@ class HandoffPayload:
     next_tick: int
     busy: tuple[int, ...]
     journal: bytes
-    policy_state: object | None = None
     snapshot: bytes | None = None
 
     def records(self) -> list[JournalRecord]:
@@ -225,7 +221,6 @@ class HandoffPayload:
         next_tick: int,
         busy: Sequence[int],
         records: Iterable[JournalRecord],
-        policy_state: object | None = None,
         snapshot: bytes | None = None,
     ) -> "HandoffPayload":
         return cls(
@@ -234,7 +229,6 @@ class HandoffPayload:
             next_tick=next_tick,
             busy=tuple(int(b) for b in busy),
             journal=b"".join(encode_record(r) for r in records),
-            policy_state=policy_state,
             snapshot=snapshot,
         )
 
@@ -251,13 +245,6 @@ class HandoffPayload:
             _U64.pack(len(self.journal)),
             self.journal,
         ]
-        if self.policy_state is None:
-            parts.append(b"\x00")
-        else:
-            blob = json.dumps(
-                self.policy_state, separators=(",", ":"), sort_keys=True
-            ).encode("utf-8")
-            parts.append(b"\x01" + _U32.pack(len(blob)) + blob)
         if self.snapshot is None:
             parts.append(b"\x00")
         else:
@@ -294,14 +281,6 @@ class HandoffPayload:
             if len(journal) != journal_len:
                 raise MigrationError("handoff journal stream truncated")
             off += journal_len
-            policy_state = None
-            if body[off]:
-                (blob_len,) = _U32.unpack_from(body, off + 1)
-                blob = body[off + 1 + _U32.size : off + 1 + _U32.size + blob_len]
-                policy_state = json.loads(blob.decode("utf-8"))
-                off += 1 + _U32.size + blob_len
-            else:
-                off += 1
             snapshot = None
             if body[off]:
                 (snap_len,) = _U64.unpack_from(body, off + 1)
@@ -324,7 +303,6 @@ class HandoffPayload:
             next_tick=next_tick,
             busy=busy,
             journal=journal,
-            policy_state=policy_state,
             snapshot=snapshot,
         )
 

@@ -48,18 +48,12 @@ class SupervisorConfig:
     ``restart_delay_ticks`` — ticks a crashed shard stays down before the
     supervisor restarts it (≥ 1: a crash is never healed in the same tick
     it happened, so a crash slot always observes the outage).
-    ``checkpoint_interval`` — take a ``busy[]`` checkpoint every this many
-    ticks (1 = every tick; larger values trade restart fidelity for a
-    little less copying, aging still keeps the restored state safe because
-    ``busy`` only ever decays between grants the crashed shard missed).
     """
 
     restart_delay_ticks: int = 1
-    checkpoint_interval: int = 1
 
     def __post_init__(self) -> None:
         check_positive_int(self.restart_delay_ticks, "restart_delay_ticks")
-        check_positive_int(self.checkpoint_interval, "checkpoint_interval")
 
 
 class ShardSupervisor:
@@ -121,15 +115,12 @@ class ShardSupervisor:
     ) -> None:
         """Record ``busy[]`` as the state entering ``tick``.
 
-        Called by the server after each tick's clock advance; ticks that
-        fall between ``checkpoint_interval`` boundaries are skipped.  Down
+        Called by the server after each tick's clock advance.  Down
         shards are not checkpointed (their live state is gone — the last
         good checkpoint is exactly what the restart needs).
         """
         check_nonnegative_int(tick, "tick")
         if shard in self._down_since:
-            return
-        if tick % self.config.checkpoint_interval != 0:
             return
         self._checkpoints[shard] = (tick, list(busy))
 

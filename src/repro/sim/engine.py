@@ -83,7 +83,6 @@ class SlottedSimulator:
         policy: GrantPolicy | None = None,
         disturb: bool = False,
         seed: int | None = None,
-        parallel: bool = False,
         faults: "FaultInjector | FaultPlan | None" = None,
     ) -> None:
         self.n_fibers = check_positive_int(n_fibers, "n_fibers")
@@ -108,7 +107,7 @@ class SlottedSimulator:
             policy = RandomPolicy(policy_rng)
         self.scheduler = scheduler
         self.distributed = DistributedScheduler(
-            self.n_fibers, scheme, scheduler, policy, parallel=parallel
+            self.n_fibers, scheme, scheduler, policy
         )
         # Remaining busy slots per output channel / input channel.
         self._out_busy = np.zeros((self.n_fibers, scheme.k), dtype=np.int64)

@@ -349,7 +349,7 @@ class FastPacketSimulator:
 
         # RandomPolicy provably consumes no RNG (and keeps no state) when
         # every contender wins, so those select() calls can be elided without
-        # perturbing the shared policy stream.  Only for the exact class —
+        # perturbing that output's stream.  Only for the exact class —
         # subclasses and other policies get the full protocol.
         uncontended_skip = type(self.policy) is RandomPolicy
         granted_inputs: list[int] = []

@@ -1,10 +1,10 @@
 """Thread-safety audit regression tests: RetryBudget and ScheduleCache.
 
-Both objects are shared across threads in supported configurations —
-a :class:`RetryBudget` by clients on different threads/event loops, the
-:class:`ScheduleCache` by per-output schedulers on the thread pool of a
-``DistributedScheduler(parallel=True)`` — so their mutations must be
-lock-guarded read-modify-writes.  These tests hammer them from many threads
+Both objects can be reached from several threads — a
+:class:`RetryBudget` by clients on different threads/event loops, the
+:class:`ScheduleCache` as the process-wide default shared by every
+scheduler built with ``cache=True``, whichever thread calls it — so their
+mutations must be lock-guarded read-modify-writes.  These tests hammer them from many threads
 and assert *exact* accounting, which the pre-audit unlocked float
 arithmetic (``tokens -= 1``) loses under interleaving.
 """

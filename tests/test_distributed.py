@@ -95,22 +95,6 @@ class TestScheduling:
         schedule2 = ds.schedule_slot(reqs, availability={0: [True] * 6})
         assert schedule2.n_granted == 1
 
-    def test_parallel_equals_sequential(self):
-        scheme = CircularConversion(8, 1, 1)
-        reqs = [
-            SlotRequest(i, w, (i + w) % 5)
-            for i in range(5)
-            for w in range(8)
-            if (i + 2 * w) % 3 != 0
-        ]
-        seq = DistributedScheduler(
-            5, scheme, BreakFirstAvailableScheduler(), parallel=False
-        ).schedule_slot(reqs)
-        par = DistributedScheduler(
-            5, scheme, BreakFirstAvailableScheduler(), parallel=True
-        ).schedule_slot(reqs)
-        assert sorted(map(repr, seq.granted)) == sorted(map(repr, par.granted))
-
     def test_matches_global_optimum_per_output(self, ds):
         # Because outputs are independent, the distributed result equals the
         # per-output optima summed (the paper's decomposition argument).
@@ -147,97 +131,3 @@ class TestScheduling:
             assert schedule.n_granted == 1
             winners.append(schedule.granted[0].request.input_fiber)
         assert winners == [0, 1, 2]
-
-
-class TestExecutorReuse:
-    """The parallel mode reuses one thread pool across slots (per instance)."""
-
-    def _requests(self, n, k, step=2):
-        return [
-            SlotRequest(i, w, (i + w) % n)
-            for i in range(n)
-            for w in range(k)
-            if (i * k + w) % step == 0
-        ]
-
-    def test_concurrent_and_serial_grants_identical(self):
-        scheme = CircularConversion(8, 1, 1)
-        reqs = self._requests(8, 8)
-        serial = DistributedScheduler(
-            8, scheme, BreakFirstAvailableScheduler()
-        )
-        concurrent = DistributedScheduler(
-            8, scheme, BreakFirstAvailableScheduler(), parallel=True,
-            max_workers=4,
-        )
-        # Several slots through the same instances: the reused pool must not
-        # change any decision relative to fresh sequential scheduling.
-        for _ in range(3):
-            s = serial.schedule_slot(reqs)
-            c = concurrent.schedule_slot(reqs)
-            assert sorted(map(repr, s.granted)) == sorted(map(repr, c.granted))
-            assert sorted(map(repr, s.rejected)) == sorted(map(repr, c.rejected))
-        concurrent.close()
-
-    def test_pool_constructed_once_and_reused(self):
-        ds = DistributedScheduler(
-            6,
-            CircularConversion(6, 1, 1),
-            BreakFirstAvailableScheduler(),
-            parallel=True,
-            max_workers=2,
-        )
-        assert ds._pool is None  # lazy: no threads until a parallel slot
-        reqs = self._requests(6, 6)
-        ds.schedule_slot(reqs)
-        pool = ds._pool
-        assert pool is not None
-        ds.schedule_slot(reqs)
-        assert ds._pool is pool  # same executor across slots
-        ds.close()
-        assert ds._pool is None
-
-    def test_close_idempotent_and_recreates_on_demand(self):
-        ds = DistributedScheduler(
-            4,
-            CircularConversion(6, 1, 1),
-            BreakFirstAvailableScheduler(),
-            parallel=True,
-        )
-        ds.close()
-        ds.close()
-        schedule = ds.schedule_slot(self._requests(4, 6))
-        assert ds._pool is not None
-        assert schedule.n_granted > 0
-        ds.close()
-
-    def test_context_manager_closes_pool(self):
-        with DistributedScheduler(
-            4,
-            CircularConversion(6, 1, 1),
-            BreakFirstAvailableScheduler(),
-            parallel=True,
-        ) as ds:
-            ds.schedule_slot(self._requests(4, 6))
-            assert ds._pool is not None
-        assert ds._pool is None
-
-    def test_serial_instance_never_builds_pool(self):
-        ds = DistributedScheduler(
-            4, CircularConversion(6, 1, 1), BreakFirstAvailableScheduler()
-        )
-        ds.schedule_slot(self._requests(4, 6))
-        assert ds._pool is None
-
-    def test_max_workers_exposed(self):
-        ds = DistributedScheduler(
-            4,
-            CircularConversion(6, 1, 1),
-            BreakFirstAvailableScheduler(),
-            parallel=True,
-            max_workers=3,
-        )
-        assert ds.max_workers == 3
-        ds.schedule_slot(self._requests(4, 6))
-        assert ds._pool._max_workers == 3
-        ds.close()

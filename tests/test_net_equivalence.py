@@ -9,10 +9,12 @@ identical across the process boundary** — including a kill-and-recover
 run that SIGKILLs shard workers mid-stream and leans on the PR-5 journal
 machinery to resume without drifting a single grant.
 
-Both sides use the stateless :class:`~repro.core.policies.
-FixedPriorityPolicy` (the multi-process placement requirement), so the
-only random stream is the seeded traffic, mirrored exactly via
-``spawn_rngs(seed, 2)`` — the simulator's own construction.
+Both sides default to the stateless :class:`~repro.core.policies.
+FixedPriorityPolicy`, so the only random stream is the seeded traffic,
+mirrored exactly via ``spawn_rngs(seed, 2)`` — the simulator's own
+construction.  The stateful-policy drills pass the same policy to both
+sides; the service front owns its state and ships each shard's slice to
+the worker with the tick.
 """
 
 import asyncio
@@ -24,10 +26,15 @@ pytestmark = [pytest.mark.net, pytest.mark.slow]
 from repro.core.break_first_available import BreakFirstAvailableScheduler
 from repro.core.distributed import SlotRequest
 from repro.core.first_available import FirstAvailableScheduler
-from repro.core.policies import FixedPriorityPolicy, RandomPolicy
+from repro.core.policies import (
+    FixedPriorityPolicy,
+    RandomPolicy,
+    RoundRobinPolicy,
+)
 from repro.graphs.conversion import CircularConversion, NonCircularConversion
 from repro.net import protocol as proto
 from repro.net.client import NetClient
+from repro.net.procpool import POISON_BEFORE_REPLY
 from repro.net.procservice import ProcessShardedService
 from repro.net.server import NetServer
 from repro.service import Rejected, RejectReason, ServiceGrant
@@ -112,11 +119,13 @@ def _run_proc_service(
     *,
     journal_dir=None,
     kill_at=(),
+    poison_at=(),
     policy=None,
 ):
     """Drive ProcessShardedService one tick per traffic slot; optionally
-    SIGKILL the worker owning shard ``slot % n_workers`` before the
-    given slots (exercising respawn + journal recovery mid-stream)."""
+    SIGKILL worker ``slot % n_workers`` before the slots in ``kill_at``,
+    or make it die after completing (before acknowledging) the slots in
+    ``poison_at`` — exercising respawn + journal recovery mid-stream."""
     traffic_rng, _policy_rng = spawn_rngs(SEED, 2)
 
     async def go():
@@ -134,6 +143,10 @@ def _run_proc_service(
             for slot in range(n_slots):
                 if slot in kill_at:
                     service.kill_worker(slot % service.n_workers)
+                if slot in poison_at:
+                    service.pool.call(
+                        slot % service.n_workers, "poison", POISON_BEFORE_REPLY
+                    )
                 pairs = []
                 for p in traffic.arrivals(slot, traffic_rng):
                     r = SlotRequest(
@@ -268,11 +281,10 @@ def test_kill_and_recover_does_not_drift_a_grant(tmp_path):
 
 
 def test_stateful_random_policy_is_bit_identical():
-    """RandomPolicy has one RNG spanning all outputs — the case the
-    multi-process service used to refuse.  Stateful mode threads the
-    canonical RNG state through serialized per-shard worker calls in
-    global fiber order, so every draw lands in the same sequence as the
-    simulator's single-process policy."""
+    """RandomPolicy keeps one RNG stream per output fiber.  The front
+    ships each contended shard's stream state with its row and absorbs
+    the state the worker returns, so every draw lands in the same
+    sequence as the simulator's single-process policy."""
     scheme = NonCircularConversion(8, 1, 1)
     durations = DeterministicDuration(2)
     sim_slots, sim_blocked = _run_simulator(
@@ -292,11 +304,18 @@ def test_stateful_random_policy_is_bit_identical():
     _assert_identical(sim_slots, sim_blocked, svc_slots, svc_blocked)
 
 
-def test_stateful_kill_and_recover_does_not_drift(tmp_path):
-    """SIGKILL workers mid-run under the stateful policy: the respawn
-    strips uncommitted write-ahead, the parent's finish_tick re-journals
-    lost grants, and the retried per-shard calls re-run with the same
-    pre-draw RNG state — no grant drifts."""
+STATEFUL_POLICIES = [
+    pytest.param(lambda: RandomPolicy(seed=777), id="random"),
+    pytest.param(RoundRobinPolicy, id="round-robin"),
+]
+
+
+@pytest.mark.parametrize("make_policy", STATEFUL_POLICIES)
+def test_stateful_kill_and_recover_does_not_drift(tmp_path, make_policy):
+    """SIGKILL workers mid-run under a stateful policy: the respawn
+    strips uncommitted write-ahead and replays ``busy[]``, and the policy
+    state never lived in the killed worker — the front re-sends each
+    shard's slice with the tick — so no grant drifts."""
     scheme = NonCircularConversion(8, 1, 1)
     durations = DeterministicDuration(3)
     sim_slots, sim_blocked = _run_simulator(
@@ -304,7 +323,7 @@ def test_stateful_kill_and_recover_does_not_drift(tmp_path):
         FirstAvailableScheduler(),
         _traffic(scheme, durations),
         N_SLOTS,
-        policy=RandomPolicy(seed=777),
+        policy=make_policy(),
     )
     svc_slots, svc_blocked = _run_proc_service(
         scheme,
@@ -313,7 +332,33 @@ def test_stateful_kill_and_recover_does_not_drift(tmp_path):
         N_SLOTS,
         journal_dir=tmp_path,
         kill_at=(8, 17),
-        policy=RandomPolicy(seed=777),
+        policy=make_policy(),
+    )
+    _assert_identical(sim_slots, sim_blocked, svc_slots, svc_blocked)
+
+
+def test_stateful_redelivery_after_completed_tick_does_not_drift(tmp_path):
+    """Workers die after completing a tick, before replying: the
+    redelivered tick drops that slot's journal records and runs again from
+    the same start-of-slot ``busy[]`` and round-robin slice — the grants
+    and the post-tick pointers come out identical."""
+    scheme = NonCircularConversion(8, 1, 1)
+    durations = DeterministicDuration(3)
+    sim_slots, sim_blocked = _run_simulator(
+        scheme,
+        FirstAvailableScheduler(),
+        _traffic(scheme, durations),
+        N_SLOTS,
+        policy=RoundRobinPolicy(),
+    )
+    svc_slots, svc_blocked = _run_proc_service(
+        scheme,
+        FirstAvailableScheduler(),
+        _traffic(scheme, durations),
+        N_SLOTS,
+        journal_dir=tmp_path,
+        poison_at=(5, 12),  # 5 % 2 poisons worker 1; 12 % 2 worker 0
+        policy=RoundRobinPolicy(),
     )
     _assert_identical(sim_slots, sim_blocked, svc_slots, svc_blocked)
 

@@ -1,5 +1,7 @@
 """Tests for the grant policies (fairness tie-breaking, Section III)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,35 @@ class TestRandomPolicy:
             for w in policy.select(0, 0, [0, 1, 2, 3], 1):
                 counts[w] += 1
         assert counts.min() > 400  # expectation 500 each
+
+    def test_outputs_draw_from_independent_streams(self):
+        # Output 3's winners depend on the seed and on output 3 alone, not
+        # on whether output 0 drew first (the per-output decomposition).
+        alone = RandomPolicy(11)
+        after_other = RandomPolicy(11)
+        after_other.select(0, 0, list(range(6)), 2)
+        for _ in range(20):
+            assert alone.select(3, 1, list(range(6)), 2) == (
+                after_other.select(3, 1, list(range(6)), 2)
+            )
+
+    def test_output_state_round_trip(self):
+        source = RandomPolicy(5)
+        for _ in range(4):
+            source.select(2, 0, [0, 1, 2], 1)
+        assert source.export_output_state(1) is None  # never drew
+        slice_2 = json.loads(json.dumps(source.export_output_state(2)))
+        target = RandomPolicy(99)
+        target.select(2, 0, [0, 1, 2], 1)
+        target.absorb_output_state(2, slice_2)
+        assert target.export_output_state(2) == slice_2
+        for _ in range(10):
+            assert target.select(2, 0, [0, 1, 2, 3], 2) == (
+                source.select(2, 0, [0, 1, 2, 3], 2)
+            )
+        # None resets the output to its fresh seed-derived stream.
+        target.absorb_output_state(2, None)
+        assert target.export_output_state(2) is None
 
 
 class TestRoundRobin:

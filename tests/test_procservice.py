@@ -45,13 +45,13 @@ def run(coro):
 
 class TestConstruction:
     def test_stateful_policy_is_accepted(self):
-        # Pre-resharding builds refused policies that do not partition by
-        # output; stateful mode now threads the canonical policy state
-        # through per-shard run_shard calls (see docs/SERVICE.md).
+        # Pre-resharding builds refused stateful policies; the front now
+        # owns the policy and ships each shard's slice with the tick
+        # (see docs/SERVICE.md).
         async def go():
             service = _service(policy=RandomPolicy(seed=1))
             try:
-                assert service._stateful
+                await service.tick()
             finally:
                 await service.stop()
 
@@ -297,6 +297,25 @@ class TestPoolEdges:
         try:
             with pytest.raises(WorkerProcessError, match="unknown op"):
                 pool.call(0, "no-such-op")
+        finally:
+            pool.stop()
+
+    @pytest.mark.parametrize("worker_id", [-1, 1])
+    def test_kill_worker_rejects_unknown_ids(self, worker_id):
+        pool = ProcessShardPool(
+            N_FIBERS,
+            NonCircularConversion(K, 1, 1),
+            FirstAvailableScheduler(),
+            None,
+            n_workers=1,
+        )
+        try:
+            with pytest.raises(InvalidParameterError, match="no worker"):
+                pool.kill_worker(worker_id)
+            # Nothing was killed: -1 must not wrap to the last worker.
+            assert pool._workers[0].process.is_alive()
+            pool.call(0, "busy")
+            assert pool._workers[0].respawns == 0
         finally:
             pool.stop()
 

@@ -69,7 +69,6 @@ class TestHandoffPayload:
             next_tick=1,
             busy=(0, 4, 0),
             records=records,
-            policy_state={"pointers": [[2, 0, 5]]},
         )
         defaults.update(kwargs)
         return HandoffPayload.from_records(**defaults)
@@ -84,10 +83,6 @@ class TestHandoffPayload:
             RecordType.GRANT,
             RecordType.ADVANCE,
         ]
-
-    def test_round_trip_without_policy_state(self):
-        payload = self._payload(policy_state=None)
-        assert HandoffPayload.decode(payload.encode()).policy_state is None
 
     def test_round_trip_with_snapshot(self):
         payload = self._payload(snapshot=b"\x00\x01snapbytes")

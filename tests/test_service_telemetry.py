@@ -233,13 +233,6 @@ class TestSupervisorTelemetry:
         sup.record_crash(2, tick=0)
         assert sup.restore_busy(2, tick=1, k=4) == [0, 0, 0, 0]
 
-    def test_checkpoint_interval_skips_off_ticks(self):
-        sup = ShardSupervisor(SupervisorConfig(checkpoint_interval=3))
-        sup.note_checkpoint(0, tick=2, busy=[1])
-        assert sup.checkpoint_of(0) is None
-        sup.note_checkpoint(0, tick=3, busy=[2])
-        assert sup.checkpoint_of(0) == (3, [2])
-
 
 class TestSloAccountant:
     def test_empty_ratio_is_one(self):

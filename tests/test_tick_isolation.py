@@ -185,8 +185,9 @@ def test_process_service_isolates_the_faulty_shard(scheduler_cls, tmp_path):
 @pytest.mark.slow
 def test_redelivered_tick_replays_the_crash(tmp_path):
     """The worker dies after journaling the tick (the faulty shard's crash
-    record included) but before replying: the parent's retry is answered
-    from the journal, and the faulty shard still resolves SHARD_DOWN."""
+    record included) but before replying: the parent's retry runs the tick
+    again from the same inputs, and the faulty shard still resolves
+    SHARD_DOWN."""
     async def go():
         service = ProcessShardedService(
             N_FIBERS, SCHEME, OutOfWindowBFA(), n_workers=1,

@@ -164,8 +164,8 @@ class TestStateRoundTrip:
     @given(weights_st, st.lists(_round_st, max_size=20))
     def test_output_fibers_are_independent(self, weights, rounds):
         """Interleaving traffic on other output fibers never changes the
-        winner sequence on fiber 0 — the ``state_partitioned_by_output``
-        claim the multi-process shard placement relies on."""
+        winner sequence on fiber 0 — the per-output state the
+        multi-process service's policy slices rely on."""
         quiet = WeightedFairPolicy(weights)
         noisy = WeightedFairPolicy(weights)
         tenants = sorted(weights)
