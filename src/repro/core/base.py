@@ -49,11 +49,13 @@ def validate_schedule(rg: RequestGraph, grants: Iterable[Grant]) -> None:
             raise ScheduleError(f"channel {g.channel} assigned twice")
         used_channels.add(g.channel)
         if not rg.available[g.channel]:
-            raise ScheduleError(f"channel {g.channel} is occupied")
+            raise ScheduleError(
+                f"channel {g.channel} is occupied (unavailable)"
+            )
         if not scheme.can_convert(g.wavelength, g.channel):
             raise ScheduleError(
                 f"λ{g.wavelength} cannot be converted to channel {g.channel} "
-                f"under {scheme!r}"
+                f"(outside its conversion window) under {scheme!r}"
             )
         granted_per_wavelength[g.wavelength] += 1
     for w, (granted, requested) in enumerate(

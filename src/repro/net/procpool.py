@@ -1,11 +1,15 @@
 """Shard workers in OS processes: spawn, RPC, crash recovery, respawn.
 
 Each worker process owns the shards the consistent-hash ring places on
-it (:mod:`repro.net.placement`): their ``busy[]`` channel clocks, their
-scheduler, and — when a journal directory is given — one write-ahead
-journal per shard in the worker's **own directory**
-(``<journal_dir>/worker-<i>/shard-<o>.wal``), so two processes never
-share a file.
+it (:mod:`repro.net.placement`) as :class:`~repro.service.shard.ShardWorker`
+objects — the same shard class the in-process service holds — each with
+its ``busy[]`` channel clock, the scheduler, and one write-ahead journal
+in the worker's **own directory**
+(``<journal_dir>/worker-<i>/shard-<o>.wal``, or in memory without a
+journal directory), so two processes never share a file.  A tick is the
+same :func:`~repro.service.shard.tick_shards` call the in-process service
+makes; the worker adds only redelivery, missed-slot catch-up and the
+policy-slice hand-off around it.
 
 The parent drives workers over ``multiprocessing`` pipes with a tiny
 request/response protocol (tuples, one in flight per worker).  The
@@ -18,12 +22,16 @@ PR 5, extended across the process boundary:
   uncommitted GRANTs of the in-flight tick;
 * worker start-up **strips** any records after the last ADVANCE (the
   write-ahead of a tick the parent never saw complete), rewrites the
-  journal, and replays the rest to rebuild ``busy[]`` exactly;
+  journal, and replays the rest to rebuild ``busy[]`` exactly
+  (:meth:`~repro.service.shard.ShardWorker.resume`);
 * a tick the worker already completed (its slot is behind the recovered
   clock: it died after advancing, before replying) is **run again** —
-  the shard drops that slot's records, replays the rest, and schedules
-  from the same start-of-slot ``busy[]`` and the same policy slice, so
-  parent retries return bit-identical grants.
+  the shard drops that slot's records, replays the rest
+  (:meth:`~repro.service.shard.ShardWorker.rewind`), and schedules from
+  the same start-of-slot ``busy[]`` and the same policy slice, so parent
+  retries return bit-identical grants;
+* a shard whose scheduling crashed is rewound the same way, so only that
+  tick's requests are lost and its clock lives on in the worker.
 
 Workers hold no grant-policy state between ticks.  The parent's service
 front owns the live policy and sends each contended shard's slice
@@ -46,7 +54,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.core.distributed import FiberRow, SlotRequest, schedule_tick
+from repro.core.distributed import SlotRequest
 from repro.errors import (
     InvalidParameterError,
     MigrationError,
@@ -54,15 +62,15 @@ from repro.errors import (
     WorkerProcessError,
 )
 from repro.net.placement import HashRing
-from repro.service.durability import replay_journal
 from repro.service.journal import (
     FAULT_CRASH,
     FileJournal,
     MemoryJournal,
-    RecordType,
     ShardJournal,
 )
 from repro.service.resharding import HandoffPayload
+from repro.service.shard import ShardWorker, tick_shards
+from repro.service.telemetry import Telemetry
 from repro.util.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,57 +97,8 @@ POISON_STALL = "stall"
 # -- worker process ----------------------------------------------------------
 
 
-class _WorkerShard:
-    """One owned shard inside a worker process: clock + journal."""
-
-    __slots__ = ("output_fiber", "busy", "journal", "next_tick")
-
-    def __init__(self, output_fiber: int, k: int, journal: ShardJournal) -> None:
-        self.output_fiber = output_fiber
-        self.journal = journal
-        self.busy = [0] * k
-        # Strip the write-ahead of an in-flight tick: everything after the
-        # last ADVANCE is GRANTs the parent never saw committed, and the
-        # parent will re-send that tick.  Keeping them would double-apply.
-        records, _torn = journal.reload()
-        last_advance = -1
-        for i, rec in enumerate(records):
-            if rec.type is RecordType.ADVANCE:
-                last_advance = i
-        self._restart(records, records[: last_advance + 1])
-
-    def rewind(self, slot: int) -> None:
-        """Drop the records of ``slot`` onward and rebuild ``busy[]`` from
-        the rest: the shard is back at the start of ``slot``."""
-        records, _torn = self.journal.reload()
-        self._restart(records, [rec for rec in records if rec.tick < slot])
-
-    def _restart(self, records: list, kept: list) -> None:
-        if len(kept) != len(records):
-            self.journal.rewrite_records(kept)
-        self.busy, _queue, self.next_tick, _n = replay_journal(
-            kept, None, len(self.busy)
-        )
-
-    def availability(self) -> list[bool]:
-        return [b == 0 for b in self.busy]
-
-    def advance(self, slot: int) -> None:
-        self.journal.advance(slot)
-        self.busy = [b - 1 if b > 0 else 0 for b in self.busy]
-        self.next_tick = slot + 1
-
-
 def _journal_path(journal_dir: str, worker_id: int, o: int) -> Path:
     return Path(journal_dir) / f"worker-{worker_id}" / f"shard-{o}.wal"
-
-
-def _open_journal(journal_dir: str | None, worker_id: int, o: int) -> ShardJournal:
-    if journal_dir is None:
-        return ShardJournal(MemoryJournal())
-    path = _journal_path(journal_dir, worker_id, o)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return ShardJournal(FileJournal(path))
 
 
 def worker_main(
@@ -153,10 +112,26 @@ def worker_main(
 ) -> None:
     """Entry point of one shard worker process (module-level: spawn picks
     it up by reference).  Serves ops off ``conn`` until ``stop`` or EOF."""
-    shards = {
-        o: _WorkerShard(o, scheme.k, _open_journal(journal_dir, worker_id, o))
-        for o in shard_ids
-    }
+    telemetry = Telemetry()
+
+    def open_shard(o: int, records=None) -> ShardWorker:
+        # The same shard class as the in-process service, over this
+        # worker's own journal; ``records`` replaces the journal first
+        # (an adopted handoff).
+        if journal_dir is None:
+            journal = ShardJournal(MemoryJournal())
+        else:
+            path = _journal_path(journal_dir, worker_id, o)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            journal = ShardJournal(FileJournal(path))
+        if records is not None:
+            journal.rewrite_records(records)
+        shard = ShardWorker(o, scheme, scheduler, policy, None, telemetry)
+        shard.journal = journal
+        shard.resume()
+        return shard
+
+    shards = {o: open_shard(o) for o in shard_ids}
     poison: str | None = None
     stall_s = 0.0
     conn.send(("ready", {o: s.next_tick for o, s in shards.items()}))
@@ -173,47 +148,51 @@ def worker_main(
             poison = None
             time.sleep(stall_s)
         if op == "run_tick":
-            # One batch-kernel call for every owned shard of this tick
-            # (schedule_tick, the same function the in-process service
-            # ticks with).  Work entries are (o, request tuples, policy
-            # slice); reply entries are (o, grant tuples, rejected pairs,
-            # policy slice), or (o, None, reason, policy slice) for a
-            # shard that crashed.  The front owns the live policy: each
-            # slice is absorbed before scheduling and handed back after,
-            # so the worker keeps no policy state between ticks.
-            _slot, work = msg[1], msg[2]
-            rows: list[FiberRow] = []
-            for o, req_tuples, policy_slice in work:
+            # The shard tick (tick_shards, the function the in-process
+            # service ticks with) over every owned shard of this slot.
+            # Work entries are (o, request tuples, policy slice); reply
+            # entries are (o, grant tuples, rejected pairs, policy slice),
+            # or (o, None, reason, policy slice) for a shard that crashed.
+            # The front owns the live policy: each slice is absorbed
+            # before scheduling and handed back after, so the worker keeps
+            # no policy state between ticks.
+            slot, work = msg[1], msg[2]
+            for o, _req_tuples, policy_slice in work:
                 shard = shards[o]
-                if _slot < shard.next_tick:
+                if slot < shard.next_tick:
                     # Redelivery of a tick this worker completed but never
                     # acknowledged: run it again from the same start-of-
                     # slot busy[] and policy slice — same grants.
-                    shard.rewind(_slot)
+                    shard.rewind(slot)
                 # Catch up slots this shard missed while its worker was
                 # unreachable (parent ticks kept running): pure journaled
                 # clock decay, so availability reflects the start of
-                # ``_slot`` exactly as if the worker had been up.
-                while shard.next_tick < _slot:
+                # ``slot`` exactly as if the worker had been up.
+                while shard.next_tick < slot:
                     shard.advance(shard.next_tick)
                 policy.absorb_output_state(o, policy_slice)
-                rows.append(
-                    FiberRow(
-                        o,
-                        [SlotRequest(*t) for t in req_tuples],
-                        shard.availability(),
-                        scheduler,
-                    )
-                )
+            outcomes = tick_shards(
+                scheme,
+                policy,
+                shards,
+                slot,
+                [
+                    (o, [SlotRequest(*t) for t in req_tuples])
+                    for o, req_tuples, _slice in work
+                ],
+            )
             result: list[tuple[int, list | None, list | str, object]] = []
             granted_any = False
-            for row, outcome in zip(rows, schedule_tick(scheme, policy, rows)):
-                o = row.output_fiber
-                grants, rejected = _commit_outcome(shards[o], _slot, outcome)
-                granted_any = granted_any or bool(grants)
-                result.append(
-                    (o, grants, rejected, policy.export_output_state(o))
-                )
+            for (o, _req_tuples, _slice), outcome in zip(work, outcomes):
+                if isinstance(outcome, ShardDownError):
+                    # Only this tick's requests are lost: the shard's
+                    # clock lives on in this worker (rebuilt from its
+                    # journal), and the crash is journaled for the audit.
+                    shards[o].rewind(slot)
+                    shards[o].journal.fault(slot, FAULT_CRASH)
+                    outcome = (None, str(outcome))
+                granted_any = granted_any or bool(outcome[0])
+                result.append((o, *outcome, policy.export_output_state(o)))
                 policy.absorb_output_state(o, None)
             if poison == POISON_AFTER_GRANT and granted_any:
                 os._exit(1)  # died between grant journaling and advance
@@ -221,7 +200,7 @@ def worker_main(
                 # The while form also catches up idle shards that missed
                 # slots during a partition (journaled ADVANCE per missed
                 # slot keeps crash replay exact).
-                while shard.next_tick <= _slot:
+                while shard.next_tick <= slot:
                     shard.advance(shard.next_tick)
             if poison == POISON_BEFORE_REPLY:
                 os._exit(1)  # died after completing, before replying
@@ -238,7 +217,7 @@ def worker_main(
                 o,
                 scheme.k,
                 shard.next_tick,
-                shard.busy,
+                shard.busy_snapshot(),
                 shard.journal.records(),
             )
             conn.send(("handoff", payload.encode()))
@@ -258,13 +237,10 @@ def worker_main(
             old = shards.pop(o, None)
             if old is not None:
                 old.journal.close()
-            journal = _open_journal(journal_dir, worker_id, o)
-            journal.rewrite_records(records)
-            shard = _WorkerShard(o, scheme.k, journal)
-            shards[o] = shard
+            shard = shards[o] = open_shard(o, records)
             if poison == POISON_AFTER_ADOPT:
                 os._exit(1)  # died with the replica installed, unacked
-            conn.send(("adopted", (shard.next_tick, list(shard.busy))))
+            conn.send(("adopted", (shard.next_tick, shard.busy_snapshot())))
         elif op == "release_shard":
             # Idempotent cleanup: safe on a worker that never owned (or
             # already released) the shard.
@@ -281,7 +257,9 @@ def worker_main(
                     pass
             conn.send(("ok",))
         elif op == "busy":
-            conn.send(("busy", {o: list(s.busy) for o, s in shards.items()}))
+            conn.send(
+                ("busy", {o: s.busy_snapshot() for o, s in shards.items()})
+            )
         elif op == "poison":
             poison = msg[1]
             if poison == POISON_STALL:
@@ -294,38 +272,6 @@ def worker_main(
             break
         else:
             conn.send(("error", f"unknown op {op!r}"))
-
-
-def _commit_outcome(
-    shard: _WorkerShard, slot: int, outcome
-) -> tuple[list | None, list | str]:
-    """Journal (write-ahead) and commit one shard's scheduled tick.
-
-    Returns the reply pair ``(grant tuples, rejected (input, wavelength)
-    pairs)``, or ``(None, reason)`` when the shard crashed while
-    scheduling: nothing is granted, the crash is journaled for the audit
-    trail, and the shard's clock is untouched (it lives on in this
-    worker), so only this tick's requests are lost.
-    """
-    if isinstance(outcome, ShardDownError):
-        shard.journal.fault(slot, FAULT_CRASH)
-        return None, str(outcome)
-    granted, rejected = outcome
-    grant_tuples = [
-        (
-            g.request.input_fiber,
-            g.request.wavelength,
-            g.channel,
-            g.request.duration,
-        )
-        for g in granted
-    ]
-    if grant_tuples:
-        # Write-ahead: journal before committing.
-        shard.journal.grant_batch(slot, grant_tuples)
-        for _in, _wl, ch, dur in grant_tuples:
-            shard.busy[ch] = dur
-    return grant_tuples, [(r.input_fiber, r.wavelength) for r in rejected]
 
 
 # -- parent-side pool --------------------------------------------------------

@@ -5,16 +5,16 @@
 bounded queues, submission edge, admission, outcome resolution and run
 modes as the in-process :class:`~repro.service.server.SchedulingService`)
 placed over OS worker processes chosen by consistent-hash placement
-(:mod:`repro.net.procpool`).  The only step it supplies is step 3: the
-workers schedule all the shards they own with one
-:func:`~repro.core.distributed.schedule_tick` call per tick — the same
-function the in-process service ticks with — commit the grants and
-advance their shards' channel clocks, and reply in the outcome format
-the front resolves (grant tuples and rejected pairs).  A shard whose
-scheduling crashes (a kernel row that fails the feasibility check, a
-scheduler that raises) loses that tick only: its requests resolve
-``SHARD_DOWN``, ``server.shard_crashes`` counts it, and its clock lives
-on in the worker.
+(:mod:`repro.net.procpool`).  The only step it supplies is step 3: each
+worker holds the shards it owns as
+:class:`~repro.service.shard.ShardWorker` objects and runs the shard tick
+(:func:`~repro.service.shard.tick_shards`) over them — the same shard
+class and the same function the in-process service ticks with — then
+advances their channel clocks and replies in the outcome format the front
+resolves (grant tuples and rejected pairs).  A shard whose scheduling
+crashes (a kernel row that fails the feasibility check, a scheduler that
+raises) loses that tick only: its requests resolve ``SHARD_DOWN``,
+``server.shard_crashes`` counts it, and its clock lives on in the worker.
 
 Because the per-output decision is a pure function of (scheme,
 scheduler, the output's policy slice, requests, busy[]) — the paper's

@@ -24,12 +24,14 @@ relies on):
    earlier multi-slot grant or by an earlier request in this same tick
    (``SOURCE_BLOCKED`` — the input laser cannot transmit two signals; the
    front).
-3. **Schedule and commit**: resolve every shard's survivors inline on the
-   event loop with one batch-kernel call for all output fibers
-   (:func:`~repro.core.distributed.schedule_tick`; rows the kernel cannot
-   express — degraded inputs, mixed priority classes, schedulers without
-   a kernel — go through :meth:`ShardWorker.schedule`), journal the
-   grants and hold the granted output channels (this module).
+3. **Schedule and commit**: run the shard tick
+   (:func:`~repro.service.shard.tick_shards`, the same function each
+   worker process of the multi-process service runs) inline on the event
+   loop: one batch-kernel call for all output fibers (rows the kernel
+   cannot express — degraded inputs, mixed priority classes, schedulers
+   without a kernel — go through :meth:`ShardWorker.schedule`), journal
+   the grants and hold the granted output channels; a shard whose
+   scheduling crashed is taken down (this module).
 4. **Resolve** futures, count breaker outcomes, record telemetry (the
    front).
 5. **Advance** every shard's channel clock, snapshot when due (this
@@ -43,7 +45,6 @@ Drive ticks yourself (:meth:`SchedulingService.tick`,
 from __future__ import annotations
 
 from repro.core.base import Scheduler
-from repro.core.distributed import FiberRow, schedule_tick
 from repro.core.policies import GrantPolicy
 from repro.errors import DurabilityError, InvalidParameterError, ShardDownError
 from repro.faults import (
@@ -69,7 +70,7 @@ from repro.service.edge import (
 from repro.service.journal import FAULT_CRASH, FAULT_OUTAGE, request_tuple
 from repro.service.queue import OverflowPolicy, TenantAdmission
 from repro.service.ratelimit import RateLimitConfig
-from repro.service.shard import ShardWorker
+from repro.service.shard import ShardWorker, tick_shards
 from repro.service.supervisor import ShardSupervisor, SupervisorConfig
 from repro.service.telemetry import Telemetry, exponential_buckets
 from repro.service.tickloop import ServiceFront, ShardOutcome
@@ -216,11 +217,11 @@ class SchedulingService(ServiceFront):
         # so a replacement worker shares it.
         self._scheduler = scheduler
         self.supervisor = ShardSupervisor(supervisor, self.telemetry)
-        self.shards = [self._spawn_worker(o) for o in range(self.n_fibers)]
         if durability is not None:
             self.durability = DurabilityManager(
                 durability, self.n_fibers, scheme.k, self.telemetry
             )
+        self.shards = [self._spawn_worker(o) for o in range(self.n_fibers)]
 
         t = self.telemetry
         self._c_fault_outages = t.counter("faults.outages")
@@ -251,7 +252,7 @@ class SchedulingService(ServiceFront):
         self._flush_queue(o, RejectReason.SHARD_DOWN, slot)
 
     def _spawn_worker(self, output_fiber: int) -> ShardWorker:
-        return ShardWorker(
+        worker = ShardWorker(
             output_fiber,
             self.scheme,
             self._scheduler,
@@ -259,6 +260,10 @@ class SchedulingService(ServiceFront):
             self.queues[output_fiber],
             self.telemetry,
         )
+        worker.next_tick = self._slot
+        if self.durability is not None:
+            worker.journal = self.durability.journal(output_fiber)
+        return worker
 
     def _restart_shard(self, output_fiber: int, slot: int) -> None:
         """Spawn a replacement worker (the queue object survives the worker
@@ -342,80 +347,37 @@ class SchedulingService(ServiceFront):
         work: "list[tuple[int, list[PendingRequest]]]",
         degradations: "dict[int, tuple[int, int]] | None",
     ) -> list[ShardOutcome]:
-        """Step 3: schedule every shard's survivors with one batch-kernel
-        call (rows it cannot batch go through :meth:`ShardWorker.schedule`),
-        journal each shard's grants (write-ahead) and commit them.
+        """Step 3: the shard tick (:func:`~repro.service.shard.tick_shards`)
+        over every shard's survivors.
 
         A shard that fails — its kernel row fails the feasibility check,
-        or its scheduler raises — comes back as its ShardDownError
-        (original defect on the chain): a crashed shard, isolated so the
-        other shards' grants still commit this tick.
+        or its scheduler raises — is crashed (:meth:`_crash_shard`): its
+        drained survivors fail fast ``SHARD_DOWN`` while the other shards'
+        grants still commit this tick.
         """
-        shards = self.shards
-        scheduled = schedule_tick(
+        outcomes: list = tick_shards(
             self.scheme,
             self.policy,
-            [
-                FiberRow(
-                    o,
-                    [p.request for p in pendings],
-                    shards[o].availability(),
-                    shards[o].scheduler,
-                )
-                for o, pendings in work
-            ],
+            self.shards,
+            slot,
+            [(o, [p.request for p in pendings]) for o, pendings in work],
             degradations,
-            lambda row: shards[row.output_fiber].schedule(
-                row.requests, degradations
-            )[1:],
         )
-        outcomes: list[ShardOutcome] = []
-        for (o, _pendings), result in zip(work, scheduled):
-            shard = shards[o]
-            if isinstance(result, ShardDownError):
-                # The shard died mid-tick; its drained survivors fail fast.
-                self._crash_shard(shard, slot, result)
-                outcomes.append(RejectReason.SHARD_DOWN)
-                continue
-            granted, rejected = result
-            grants = [
-                (
-                    g.request.input_fiber,
-                    g.request.wavelength,
-                    g.channel,
-                    g.request.duration,
-                )
-                for g in granted
-            ]
-            if self.durability is not None and grants:
-                # Write-ahead: one batched record before any commit.
-                self.durability.journal(o).grant_batch(slot, grants)
-            shard.commit(granted)
-            shard.record_rejected(len(rejected))
-            outcomes.append(
-                (grants, [(r.input_fiber, r.wavelength) for r in rejected])
-            )
+        for i, ((o, _pendings), outcome) in enumerate(zip(work, outcomes)):
+            if isinstance(outcome, ShardDownError):
+                self._crash_shard(self.shards[o], slot, outcome)
+                outcomes[i] = RejectReason.SHARD_DOWN
         return outcomes
 
     def _end_tick(self, slot: int) -> None:
         """Step 5: advance every shard's channel clock; snapshot when due."""
         self._h_occupancy.observe(sum(s.occupancy for s in self.shards))
         for shard in self.shards:
-            if self.durability is not None:
-                # The connections busy[] tracks live in the interconnect,
-                # so the physical clock advances for down shards too —
-                # this is what makes recovery pure replay with no aging.
-                journal = self.durability.journal(shard.output_fiber)
-                if self._window_open:
-                    journal.defer_advance(slot)
-                else:
-                    journal.advance(slot)
-            if not shard.down:
-                shard.advance()
-                if self.durability is None:
-                    self.supervisor.note_checkpoint(
-                        shard.output_fiber, slot + 1, shard.busy_snapshot()
-                    )
+            shard.advance(slot, defer=self._window_open)
+            if self.durability is None and not shard.down:
+                self.supervisor.note_checkpoint(
+                    shard.output_fiber, slot + 1, shard.busy_snapshot()
+                )
         if self.durability is not None and self.durability.due_snapshot(
             slot + 1
         ):

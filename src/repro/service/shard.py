@@ -1,4 +1,4 @@
-"""Shard workers: one per output fiber, owning scheduler and channel state.
+"""The shard: one per output fiber, owning scheduler and channel state.
 
 The paper's structural result — requests partition by destination fiber and
 the per-output decisions are independent — makes the output fiber the
@@ -6,47 +6,53 @@ natural service shard.  Each :class:`ShardWorker` owns
 
 * its per-output scheduler instance (``first_available`` /
   ``break_first_available`` / any :class:`~repro.core.base.Scheduler`),
-* its bounded request queue (see :mod:`repro.service.queue`),
 * its channel-availability state across slot ticks: ``busy[b]`` counts the
   remaining slots output channel ``b`` is held by a granted multi-slot
   connection (paper Section V non-disturb mode — exactly the
-  :class:`~repro.sim.engine.SlottedSimulator` bookkeeping, per shard).
+  :class:`~repro.sim.engine.SlottedSimulator` bookkeeping, per shard),
+* its write-ahead journal (``None`` with durability off) and, in process,
+  its bounded request queue (see :mod:`repro.service.queue`).
 
-Scheduling a tick is a *read* of shard state; committing grants and
-advancing the clock are writes.  The service schedules all shards of a
-tick with one batch-kernel call
-(:func:`repro.core.distributed.schedule_tick`); :meth:`ShardWorker.schedule`
-is the per-fiber path for the rows that call cannot express, and goes
-through :func:`repro.core.distributed.schedule_output_fiber` — the same
-code path as the batch simulator.  The simulator's independent per-fiber
-decisions are what make service-vs-simulator grant equivalence testable
-instead of aspirational.
+It is the shard of both placements: the in-process
+:class:`~repro.service.server.SchedulingService` and every worker process
+of :class:`~repro.net.procservice.ProcessShardedService` tick their shards
+with :func:`tick_shards` — one batch-kernel call for all of them
+(:func:`repro.core.distributed.schedule_tick`), with
+:meth:`ShardWorker.schedule` for the rows that call cannot express (through
+:func:`repro.core.distributed.schedule_output_fiber`, the batch
+simulator's code path).  The simulator's independent per-fiber decisions
+are what make service-vs-simulator grant equivalence testable instead of
+aspirational.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.base import Scheduler
 from repro.core.distributed import (
+    FiberRow,
     GrantedRequest,
     SlotRequest,
     schedule_output_fiber,
+    schedule_tick,
 )
 from repro.core.policies import GrantPolicy
 from repro.errors import ShardDownError, SimulationError
 from repro.graphs.conversion import ConversionScheme
+from repro.service.durability import replay_journal
+from repro.service.journal import RecordType, ShardJournal
 from repro.types import ScheduleResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.queue import BoundedQueue
     from repro.service.telemetry import Telemetry
 
-__all__ = ["ShardWorker"]
+__all__ = ["ShardWorker", "tick_shards"]
 
 
 class ShardWorker:
-    """Per-output-fiber worker: scheduler + queue + channel occupancy."""
+    """Per-output-fiber shard: scheduler + channel occupancy + journal."""
 
     def __init__(
         self,
@@ -54,14 +60,17 @@ class ShardWorker:
         scheme: ConversionScheme,
         scheduler: Scheduler,
         policy: GrantPolicy,
-        queue: "BoundedQueue",
+        queue: "BoundedQueue | None",
         telemetry: "Telemetry",
     ) -> None:
         self.output_fiber = output_fiber
         self.scheme = scheme
         self.scheduler = scheduler
         self.policy = policy
-        self.queue = queue
+        self.queue = queue  # None in a worker process
+        #: Installed by the placement; None = durability off.
+        self.journal: ShardJournal | None = None
+        self.next_tick = 0  # the slot the clock enters next
         self._busy = [0] * scheme.k
         #: Dark output channels this tick (fault injection); None = none.
         self._dark: list[bool] | None = None
@@ -121,7 +130,8 @@ class ShardWorker:
         self._crash_cause = cause
 
     def restore(self, busy: Sequence[int]) -> None:
-        """Bring the worker back with the supervisor's aged ``busy[]``."""
+        """Bring the worker back up with ``busy`` (the supervisor's aged
+        checkpoint, or a journal rebuild)."""
         if len(busy) != self.k:
             raise SimulationError(
                 f"shard {self.output_fiber}: restore vector has length "
@@ -131,6 +141,31 @@ class ShardWorker:
         self.down = False
         self._crash_cause = None
         self._occupancy_gauge.set(self.occupancy)
+
+    # -- journal rebuilds (the worker process's recovery) --------------------
+
+    def resume(self) -> None:
+        """Rebuild from the journal after a process start, stripping the
+        records after the last ADVANCE: the write-ahead of a tick the
+        parent never saw complete, which it will re-send."""
+        records, _torn = self.journal.reload()
+        last_advance = -1
+        for i, rec in enumerate(records):
+            if rec.type is RecordType.ADVANCE:
+                last_advance = i
+        self._rebuild(records, records[: last_advance + 1])
+
+    def rewind(self, slot: int) -> None:
+        """Drop the journal's records of ``slot`` onward and rebuild from
+        the rest: the shard is back up at the start of ``slot``."""
+        records, _torn = self.journal.reload()
+        self._rebuild(records, [rec for rec in records if rec.tick < slot])
+
+    def _rebuild(self, records: list, kept: list) -> None:
+        if len(kept) != len(records):
+            self.journal.rewrite_records(kept)
+        busy, _queue, self.next_tick, _n = replay_journal(kept, None, self.k)
+        self.restore(busy)
 
     def _check_up(self) -> None:
         if self.down:
@@ -196,7 +231,78 @@ class ShardWorker:
     def record_rejected(self, n: int) -> None:
         self._rejected.inc(n)
 
-    def advance(self) -> None:
-        """End of slot tick: ongoing connections age by one slot."""
-        self._busy = [b - 1 if b > 0 else 0 for b in self._busy]
-        self._occupancy_gauge.set(self.occupancy)
+    def advance(self, slot: int, defer: bool = False) -> None:
+        """End of ``slot``: journal its ADVANCE (``defer``: see
+        :meth:`~repro.service.journal.ShardJournal.defer_advance`), then
+        age ongoing connections by one slot.  A down shard's clock is
+        journaled too — its connections live on in the interconnect —
+        which is what makes recovery pure replay with no aging."""
+        journal = self.journal
+        if journal is not None:
+            if defer:
+                journal.defer_advance(slot)
+            else:
+                journal.advance(slot)
+        self.next_tick = slot + 1
+        if not self.down:
+            self._busy = [b - 1 if b > 0 else 0 for b in self._busy]
+            self._occupancy_gauge.set(self.occupancy)
+
+
+def tick_shards(
+    scheme: ConversionScheme,
+    policy: GrantPolicy,
+    shards: "Mapping[int, ShardWorker] | Sequence[ShardWorker]",
+    slot: int,
+    work: Sequence[tuple[int, Sequence[SlotRequest]]],
+    degradations: "Mapping[int, tuple[int, int]] | None" = None,
+) -> list:
+    """Schedule, journal (write-ahead) and commit one tick of ``work``,
+    ``(output_fiber, requests)`` entries, on ``shards[output_fiber]``.
+
+    Returns one entry per ``work`` entry in the service front's outcome
+    format — grant tuples ``(input, wavelength, channel, duration)`` and
+    rejected ``(input, wavelength)`` pairs — or the
+    :class:`~repro.errors.ShardDownError` its shard crashed with while
+    scheduling (nothing is journaled or committed for it; reacting is the
+    placement's).  Clocks advance separately (:meth:`ShardWorker.advance`).
+    """
+    scheduled = schedule_tick(
+        scheme,
+        policy,
+        [
+            FiberRow(
+                o, requests, shards[o].availability(), shards[o].scheduler
+            )
+            for o, requests in work
+        ],
+        degradations,
+        lambda row: shards[row.output_fiber].schedule(
+            row.requests, degradations
+        )[1:],
+    )
+    outcomes: list = []
+    for (o, _requests), result in zip(work, scheduled):
+        if isinstance(result, ShardDownError):
+            outcomes.append(result)
+            continue
+        shard = shards[o]
+        granted, rejected = result
+        grants = [
+            (
+                g.request.input_fiber,
+                g.request.wavelength,
+                g.channel,
+                g.request.duration,
+            )
+            for g in granted
+        ]
+        if shard.journal is not None and grants:
+            # Write-ahead: one batched record before any commit.
+            shard.journal.grant_batch(slot, grants)
+        shard.commit(granted)
+        shard.record_rejected(len(rejected))
+        outcomes.append(
+            (grants, [(r.input_fiber, r.wavelength) for r in rejected])
+        )
+    return outcomes

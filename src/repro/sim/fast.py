@@ -22,13 +22,17 @@ Two regimes share that kernel:
   ``available``.  Which requester wins a wavelength's channels now matters
   (the winner's duration drives future occupancy), so grants are distributed
   through the same policy protocol as
-  :func:`~repro.core.distributed.distribute_grants`, consuming the policy
-  RNG identically.  The result is *bit-identical* to
+  :func:`~repro.core.distributed.distribute_grants` (``select_requests``
+  on the full requests, tenant included), consuming the policy RNG
+  identically.  The result is *bit-identical* to
   :class:`~repro.sim.engine.SlottedSimulator` with the scheme's optimal
   scheduler on the same seed — full metric equality, attribution included
   (tested slot by slot).
 
-Both regimes consume :meth:`~repro.sim.traffic.TrafficModel.arrivals_batch`
+In both regimes the kernel's rows cross the same trust boundary as the
+service tick's: one whole-array feasibility check
+(:func:`~repro.core.distributed._check_assign`) per kernel call.  Both
+regimes consume :meth:`~repro.sim.traffic.TrafficModel.arrivals_batch`
 — the same draws the full engine materializes into packets — so the two
 engines see identical traffic from one seed.  Disturb mode and QoS priority
 classes still need the full engine.
@@ -40,6 +44,7 @@ import numpy as np
 
 from repro.core.batch import batch_first_available
 from repro.core.batch_bfa import batch_break_first_available
+from repro.core.distributed import SlotRequest, _check_assign
 from repro.core.memo import ScheduleCache, resolve_cache
 from repro.core.policies import GrantPolicy, RandomPolicy
 from repro.errors import SimulationError
@@ -163,49 +168,6 @@ class FastPacketSimulator:
             req, avail, self.scheme.e, self.scheme.f, check=False
         )
 
-    def _validate_row(
-        self,
-        row: np.ndarray,
-        req_row: np.ndarray,
-        avail_row: np.ndarray | None,
-    ) -> None:
-        """Trust boundary for the batch kernels (mirrors
-        :func:`~repro.core.base.validate_schedule` on the row encoding).
-
-        Rejects grants to unavailable channels, grants outside the scheme's
-        conversion window, and per-wavelength overgrants.  Runs once per
-        cache miss, so the steady-state cost is near zero.
-        """
-        k = self.k
-        e, f = self.scheme.e, self.scheme.f
-        circular = isinstance(self.scheme, CircularConversion)
-        counts: dict[int, int] = {}
-        for b, w in enumerate(row.tolist()):
-            if w < 0:
-                continue
-            if avail_row is not None and not avail_row[b]:
-                raise SimulationError(
-                    f"batch kernel granted unavailable channel {b} "
-                    f"(wavelength {w})"
-                )
-            if circular:
-                off = (b - w) % k
-                adjacent = off <= f or off >= k - e
-            else:
-                adjacent = -e <= b - w <= f
-            if not adjacent:
-                raise SimulationError(
-                    f"batch kernel granted channel {b} outside wavelength "
-                    f"{w}'s conversion window"
-                )
-            counts[w] = counts.get(w, 0) + 1
-        for w, c in counts.items():
-            if c > int(req_row[w]):
-                raise SimulationError(
-                    f"batch kernel granted {c} channels for wavelength {w} "
-                    f"with only {int(req_row[w])} requests"
-                )
-
     @staticmethod
     def _parse_row(row: np.ndarray) -> tuple[dict[int, list[int]], int]:
         """``(granted channels keyed by wavelength, grant count)`` of a
@@ -223,49 +185,57 @@ class FastPacketSimulator:
     ) -> dict[int, tuple[dict[int, list[int]], int]]:
         """Parsed assignment per output that has requests, memoized per row.
 
-        Outputs without requests grant nothing and are omitted.  Cached
-        values are read-only by convention — every consumer only reads them.
+        Outputs without requests grant nothing and are omitted.  Every
+        cache miss (every row, with the cache off) is scheduled by one
+        kernel call, and the kernel's rows are checked as one array by
+        the service tick's trust boundary
+        (:func:`~repro.core.distributed._check_assign`): an infeasible row
+        raises :class:`~repro.errors.SimulationError` with the
+        :class:`~repro.errors.ScheduleError` on the chain.  Cached values
+        are read-only by convention — every consumer only reads them.
         """
-        active = np.nonzero(req.any(axis=1))[0]
-        if self._row_cache is None:
-            sub = self._schedule_matrix(
-                req[active], None if avail is None else avail[active]
-            )
-            out: dict[int, tuple[dict[int, list[int]], int]] = {}
-            for j, o in enumerate(active):
-                o = int(o)
-                self._validate_row(
-                    sub[j], req[o], None if avail is None else avail[o]
-                )
-                out[o] = self._parse_row(sub[j])
-            return out
-
+        cache = self._row_cache
         rows_out: dict[int, tuple[dict[int, list[int]], int]] = {}
-        misses: list[tuple[int, tuple]] = []
-        for o in active:
-            o = int(o)
+        misses: list[tuple[int, tuple | None]] = []
+        for o in np.flatnonzero(req.any(axis=1)).tolist():
+            if cache is None:
+                misses.append((o, None))
+                continue
             key = (
                 self._cache_tag,
                 req[o].tobytes(),
                 b"" if avail is None else avail[o].tobytes(),
             )
-            value = self._row_cache.get(key)
+            value = cache.get(key)
             if value is None:
                 misses.append((o, key))
             else:
                 rows_out[o] = value
-        if misses:
-            idx = np.fromiter((o for o, _ in misses), dtype=np.int64)
-            sub = self._schedule_matrix(
-                req[idx], None if avail is None else avail[idx]
+        if not misses:
+            return rows_out
+        idx = [o for o, _key in misses]
+        sub_req = req[idx]
+        sub_avail = None if avail is None else avail[idx]
+        sub = self._schedule_matrix(sub_req, sub_avail)
+        if sub.shape != sub_req.shape:
+            raise SimulationError(
+                f"batch kernel returned shape {sub.shape}, expected "
+                f"{sub_req.shape}"
             )
-            for (o, key), row in zip(misses, sub):
-                self._validate_row(
-                    row, req[o], None if avail is None else avail[o]
-                )
-                value = self._parse_row(row)
-                self._row_cache.put(key, value)
-                rows_out[o] = value
+        if sub_avail is None:
+            sub_avail = np.ones(sub_req.shape, dtype=bool)
+        errors = _check_assign(self.scheme, sub, sub_req, sub_avail)
+        if errors:
+            j = min(errors)
+            raise SimulationError(
+                f"batch kernel row of output {idx[j]} in slot "
+                f"{self._slot - 1} is infeasible: {errors[j]}"
+            ) from errors[j]
+        for (o, key), row in zip(misses, sub):
+            value = self._parse_row(row)
+            if key is not None:
+                cache.put(key, value)
+            rows_out[o] = value
         return rows_out
 
     # -- single-slot regime (stateless slots) -------------------------------
@@ -317,9 +287,11 @@ class FastPacketSimulator:
             wl_s = wl[free_in]
             out_s = batch.output_fiber[free_in]
             dur_s = batch.duration[free_in]
+            ten_s = batch.tenant[free_in]
         else:
             in_s, wl_s = in_f, wl
             out_s, dur_s = batch.output_fiber, batch.duration
+            ten_s = batch.tenant
 
         req = np.zeros((self.n_fibers, self.k), dtype=np.int64)
         if in_s.size:
@@ -336,19 +308,20 @@ class FastPacketSimulator:
         # Group the submitted requests by (output, wavelength) — plain-Python
         # lists, cheap next to the per-output scheduling they replace.  The
         # protocol below consumes the grant policy exactly like
-        # distribute_grants, so the two engines' policy streams stay aligned.
+        # distribute_grants (the same select_requests call on the same
+        # requests), so the two engines' policy streams stay aligned.
         in_l = in_s.tolist()
         wl_l = wl_s.tolist()
         out_l = out_s.tolist()
         dur_l = dur_s.tolist()
+        ten_l = ten_s.tolist()
+        # (output, wavelength) -> input fiber -> index into the lists above.
         by_output: dict[int, dict[int, dict[int, int]]] = {}
         for i, o in enumerate(out_l):
-            by_output.setdefault(o, {}).setdefault(wl_l[i], {})[
-                in_l[i]
-            ] = dur_l[i]
+            by_output.setdefault(o, {}).setdefault(wl_l[i], {})[in_l[i]] = i
 
         # RandomPolicy provably consumes no RNG (and keeps no state) when
-        # every contender wins, so those select() calls can be elided without
+        # every contender wins, so those policy calls can be elided without
         # perturbing that output's stream.  Only for the exact class —
         # subclasses and other policies get the full protocol.
         uncontended_skip = type(self.policy) is RandomPolicy
@@ -366,14 +339,20 @@ class FastPacketSimulator:
                 if uncontended_skip and len(channels) >= len(fibers):
                     pairs = zip(fibers, channels)
                 else:
-                    winners = self.policy.select(o, w, fibers, len(channels))
+                    requests = [
+                        SlotRequest(f, w, o, dur_l[i], 0, ten_l[i])
+                        for f, i in by_fiber.items()
+                    ]
+                    winners = self.policy.select_requests(
+                        o, w, requests, len(channels)
+                    )
                     pairs = zip(sorted(set(winners)), channels)
                 for fiber, channel in pairs:
                     g_out.append(o)
                     g_ch.append(channel)
                     g_wl.append(w)
                     granted_inputs.append(fiber)
-                    granted_durations.append(by_fiber[fiber])
+                    granted_durations.append(dur_l[by_fiber[fiber]])
 
         # Commit all grants at once; nothing reads occupancy mid-loop.  The
         # duplicate/occupied checks are the same last-line defense the full

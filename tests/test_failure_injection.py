@@ -138,8 +138,10 @@ class _EvilFastSimulator(FastPacketSimulator):
     express the duplicate-channel defect, so the fast-engine parity of the
     _EvilScheduler tests covers the remaining defect classes: grants on
     masked/dark (unavailable) channels, grants outside the conversion
-    window, and per-wavelength overgrants — each must die in
-    ``_validate_row``, never flow into the metrics.
+    window, per-wavelength overgrants and values that are no wavelength at
+    all — each must die in the service tick's array check
+    (``repro.core.distributed._check_assign``) as a ``SimulationError``,
+    never flow into the metrics.
     """
 
     def __init__(self, *args, defect, **kwargs):
@@ -224,3 +226,11 @@ class TestFastEngineRejectsEvilKernels:
             return assign
 
         self._run_expect_raise(self._sim(defect), "only")
+
+    def test_out_of_range_wavelength_detected(self):
+        def defect(assign, req, avail):
+            assign = assign.copy()
+            assign[:, 0] = req.shape[1]  # wavelength k does not exist
+            return assign
+
+        self._run_expect_raise(self._sim(defect), "outside")

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.break_first_available import BreakFirstAvailableScheduler
 from repro.core.first_available import FirstAvailableScheduler
+from repro.core.policies import WeightedFairPolicy
 from repro.errors import SimulationError
 from repro.graphs.conversion import (
     CircularConversion,
@@ -18,7 +19,11 @@ from repro.sim.duration import (
 )
 from repro.sim.engine import SlottedSimulator
 from repro.sim.fast import FastPacketSimulator
-from repro.sim.traffic import BernoulliTraffic
+from repro.sim.traffic import (
+    BernoulliTraffic,
+    MultiTenantOnOffTraffic,
+    TenantSpec,
+)
 
 
 class TestValidation:
@@ -134,6 +139,41 @@ class TestExactEquivalence:
             full.metrics.duration_histogram()
             == fast.metrics.duration_histogram()
         )
+        assert np.array_equal(
+            full.metrics.granted_by_input, fast.metrics.granted_by_input
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_multislot_weighted_fair_identical_to_full_engine(self, seed):
+        """WFQ picks winners by tenant, so the fast engine must hand the
+        policy the same full requests (tenant included) as the full
+        engine's grant distribution does."""
+        tenants = (
+            TenantSpec(0, weight=4, load=0.6),
+            TenantSpec(1, weight=1, load=0.6),
+            TenantSpec(2, weight=2, load=0.6),
+        )
+        scheme = NonCircularConversion(8, 1, 1)
+
+        def traffic():
+            return MultiTenantOnOffTraffic(
+                4, 8, tenants, durations=GeometricDuration(2.0)
+            )
+
+        def policy():
+            return WeightedFairPolicy({t.tenant: t.weight for t in tenants})
+
+        full = SlottedSimulator(
+            4, scheme, FirstAvailableScheduler(), traffic(), seed=seed,
+            policy=policy(),
+        ).run(200)
+        fast = FastPacketSimulator(
+            4, scheme, traffic(), seed=seed, policy=policy()
+        ).run(200)
+        assert np.array_equal(
+            full.metrics.granted_series(), fast.metrics.granted_series()
+        )
+        assert full.summary() == fast.summary()
         assert np.array_equal(
             full.metrics.granted_by_input, fast.metrics.granted_by_input
         )
