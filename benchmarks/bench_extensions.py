@@ -3,9 +3,9 @@ batch-vectorization speed."""
 
 import numpy as np
 
-from repro.core.batch import batch_first_available
 from repro.core.break_first_available import BreakFirstAvailableScheduler
 from repro.core.first_available import first_available_fast
+from repro.core.kernels import batch_break_first_available, batch_first_available
 from repro.core.priority import PriorityScheduler
 from repro.experiments.registry import run_experiment
 from repro.graphs.conversion import CircularConversion
@@ -66,9 +66,7 @@ def test_scalar_loop_m256_k64(benchmark):
     assert total == int((vec >= 0).sum())
 
 
-def test_batch_bfa_vectorized_m1024_k64(benchmark):
-    from repro.core.batch_bfa import batch_break_first_available
-
+def test_batch_bfa_m1024_k64(benchmark):
     rng = make_rng(3)
     req = rng.binomial(16, 0.9 / 16, size=(1024, 64))
     assign = benchmark(batch_break_first_available, req, None, 2, 2)

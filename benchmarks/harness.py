@@ -9,9 +9,9 @@ performance story rests on and writes one JSON document per run:
   the committed baseline fails the comparison.  ``batch_*_kernel`` time
   the public entry points; ``batch_*_kernel_python`` time the scalar
   sweep (:mod:`repro.core.kernels`) called directly on the same inputs.
-* ``sweep`` group — informational, never gated: the scalar and the
-  vectorized sweep of each kernel at M ∈ {16, 128, 1024, 8192} rows, the
-  numbers behind the ``SCALAR_ROWS`` cutover.
+* ``sweep`` group — informational, never gated: FA's scalar and
+  vectorized sweeps and BFA's one sweep at M ∈ {16, 128, 1024, 8192} rows,
+  the numbers behind FA's ``SCALAR_ROWS`` cutover.
 * ``sim`` group — end-to-end slot throughput of the fast engine vs the full
   engine on the same seeded multi-slot traffic.  Not gated on absolute
   speed (CI machines vary) but on the *ratio*: the fast engine must stay at
@@ -67,10 +67,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from repro.core import kernels
-from repro.core.batch import batch_first_available
-from repro.core.batch_bfa import batch_break_first_available
 from repro.core.break_first_available import BreakFirstAvailableScheduler
 from repro.core.distributed import SlotRequest
+from repro.core.kernels import batch_break_first_available, batch_first_available
 from repro.core.memo import ScheduleCache
 from repro.core.policies import WeightedFairPolicy
 from repro.faults import FaultPlan
@@ -158,13 +157,13 @@ SWEEP_ROWS = (16, 128, 1024, 8192)
 
 
 def bench_sweeps(quick: bool) -> dict[str, dict]:
-    """Scalar vs vectorized sweep of each kernel across matrix heights."""
+    """FA's scalar vs vectorized sweep, and BFA's one sweep, across
+    matrix heights."""
     k = 16
     sweeps = {
         "fa_scalar": kernels.fa_scalar,
         "fa_vectorized": kernels.fa_vectorized,
         "bfa_scalar": kernels.bfa_scalar,
-        "bfa_vectorized": kernels.bfa_vectorized,
     }
     out = {}
     for rows in SWEEP_ROWS:
@@ -823,15 +822,17 @@ def main(argv: list[str] | None = None) -> int:
         f"({cpus} cpu{'s' if cpus != 1 else ''})"
     )
     print("sweep ms/call (k=16):   rows   scalar  vectorized  scalar/vectorized")
-    for kernel in ("fa", "bfa"):
-        for rows in SWEEP_ROWS:
-            scalar = result["benchmarks"][f"sweep_{kernel}_scalar_m{rows}"]
-            vector = result["benchmarks"][f"sweep_{kernel}_vectorized_m{rows}"]
-            print(
-                f"  {kernel:3s} {rows:20d} {scalar['p50_s'] * 1e3:8.3f} "
-                f"{vector['p50_s'] * 1e3:11.3f} "
-                f"{scalar['p50_s'] / vector['p50_s']:18.2f}x"
-            )
+    for rows in SWEEP_ROWS:
+        scalar = result["benchmarks"][f"sweep_fa_scalar_m{rows}"]
+        vector = result["benchmarks"][f"sweep_fa_vectorized_m{rows}"]
+        print(
+            f"  fa  {rows:20d} {scalar['p50_s'] * 1e3:8.3f} "
+            f"{vector['p50_s'] * 1e3:11.3f} "
+            f"{scalar['p50_s'] / vector['p50_s']:18.2f}x"
+        )
+    for rows in SWEEP_ROWS:
+        scalar = result["benchmarks"][f"sweep_bfa_scalar_m{rows}"]
+        print(f"  bfa {rows:20d} {scalar['p50_s'] * 1e3:8.3f}")
     window_gain = result["derived"]["window_amortization"]
     print(f"tick-window amortization (W=8 vs W=1 ticks/s): {window_gain:.2f}x")
     stall = result["derived"]["reshard_stall_ticks"]

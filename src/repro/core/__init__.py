@@ -2,8 +2,6 @@
 for wavelength-convertible WDM optical interconnects."""
 
 from repro.core.approx import BreakPolicy, SingleBreakScheduler, deficit_bound
-from repro.core.batch import batch_first_available
-from repro.core.batch_bfa import batch_break_first_available
 from repro.core.base import Scheduler, make_result, validate_schedule
 from repro.core.baseline import GloverScheduler, HopcroftKarpScheduler
 from repro.core.break_first_available import (
@@ -23,6 +21,10 @@ from repro.core.first_available import (
     first_available_fast,
 )
 from repro.core.full_range import FullRangeScheduler
+from repro.core.kernels import (
+    batch_break_first_available,
+    batch_first_available,
+)
 from repro.core.memo import (
     ScheduleCache,
     configure_default_cache,

@@ -17,7 +17,7 @@ from typing import Literal
 import numpy as np
 
 from repro.core.base import Scheduler, make_result
-from repro.core.break_first_available import _reduced_groups, solve_reduced_fast
+from repro.core.break_first_available import _break_sweep, _find_pivot
 from repro.errors import InvalidParameterError
 from repro.graphs.conversion import CircularConversion
 from repro.graphs.request_graph import RequestGraph
@@ -106,47 +106,23 @@ class SingleBreakScheduler(Scheduler):
     def schedule(self, rg: RequestGraph) -> ScheduleResult:
         self._check_scheme(rg)
         scheme = rg.scheme
-        k, e, f = scheme.k, scheme.e, scheme.f
-        remaining = list(rg.request_vector)
-        available = rg.available
-        skipped = 0
-        pivot_w = -1
-        candidates: list[int] = []
-        for w in range(k):
-            if remaining[w] == 0:
-                continue
-            cand = [t for t in range(-e, f + 1) if available[(w + t) % k]]
-            if cand:
-                pivot_w = w
-                candidates = cand
-                break
-            remaining[w] = 0
-            skipped += 1
-        if pivot_w < 0:
+        e, f = scheme.e, scheme.f
+        pivot = _find_pivot(rg.request_vector, rg.available, e, f)
+        if pivot.wavelength < 0:
             return make_result(
-                rg, [], stats={"reduced_graphs": 0, "pivots_skipped": skipped}
+                rg, [], stats={"reduced_graphs": 0, "pivots_skipped": pivot.skipped}
             )
 
-        t = self._choose_offset(candidates, e, f)
-        u = (pivot_w + t) % k
-        remaining[pivot_w] -= 1
-        groups = _reduced_groups(remaining, k, e, f, pivot_w, t)
-        positions = [
-            ((b - u - 1) % k, b)
-            for b in ((u + 1 + off) % k for off in range(k - 1))
-            if available[b]
-        ]
-        sub = solve_reduced_fast(groups, positions)
-        grants = [Grant(wavelength=pivot_w, channel=u)] + [
-            Grant(wavelength=w, channel=b) for w, b in sub
-        ]
+        t = self._choose_offset(pivot.offsets, e, f)
+        pairs = _break_sweep(pivot, rg.available, e, f, t)
+        grants = [Grant(wavelength=w, channel=b) for w, b in pairs]
         delta = _delta_of_offset(t, e)
         return make_result(
             rg,
             grants,
             stats={
                 "reduced_graphs": 1,
-                "pivots_skipped": skipped,
+                "pivots_skipped": pivot.skipped,
                 "delta": delta,
                 "deficit_bound": deficit_bound(delta, scheme.degree),
             },

@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["BatchKernel", "Scheduler", "validate_schedule", "make_result"]
 
 #: A batch kernel: ``(request_matrix, available, e, f, *, check)`` →
-#: ``(M, k)`` assign matrix (:func:`repro.core.batch.batch_first_available`
+#: ``(M, k)`` assign matrix (:func:`repro.core.kernels.batch_first_available`
 #: is the reference signature).
 BatchKernel = Callable[..., "np.ndarray"]
 

@@ -30,17 +30,16 @@ forms because only the edge into the removed ``b_u`` disappears.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from repro.core import batch_bfa as _batch_bfa
+from repro.core import kernels
 from repro.core.base import BatchKernel, Scheduler, make_result
 from repro.core.memo import (
     ScheduleCache,
     schedule_cache_key,
     resolve_cache as _resolve_cache,
 )
-from repro.errors import InvalidParameterError, ScheduleError
+from repro.errors import InvalidParameterError
 from repro.graphs.breaking import break_graph
 from repro.graphs.conversion import CircularConversion, ConversionScheme
 from repro.graphs.request_graph import RequestGraph
@@ -48,111 +47,111 @@ from repro.types import Grant, ScheduleResult
 
 __all__ = [
     "bfa_fast",
-    "solve_reduced_fast",
     "BreakFirstAvailableScheduler",
     "BreakFirstAvailableReferenceScheduler",
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class _Group:
-    """One wavelength's requests in a reduced instance: ``count`` requests
-    whose shifted-position adjacency is ``[lo, hi]`` (empty if ``hi < lo``)."""
+class _Pivot(NamedTuple):
+    """Table 3's pivot request and the reduced instance every break shares."""
 
-    wavelength: int
-    count: int
-    lo: int
-    hi: int
+    wavelength: int  # -1: no request has a free adjacent channel
+    offsets: list[int]  # break offsets t in [-e, f] whose channel is free
+    skipped: int  # unmatchable wavelengths dropped before the pivot
+    entry_s: list[int]  # remaining requests' offsets s from the pivot, ascending
+    entry_w: list[int]  # ... their wavelengths
+    counts: list[int]  # ... and their counts (pivot's own request removed)
 
 
-def _reduced_groups(
-    remaining: Sequence[int],
-    k: int,
-    e: int,
-    f: int,
-    pivot_w: int,
-    t: int,
-) -> list[_Group]:
-    """Interval form of the reduced graph after breaking at ``(pivot, W+t)``.
+def _find_pivot(
+    request_vector: Sequence[int], available: Sequence[bool], e: int, f: int
+) -> _Pivot:
+    """Pick the pivot: the first request overall — the lowest wavelength
+    carrying one.
 
-    ``remaining`` are request counts with the pivot's own request already
-    removed.  Positions index the shifted channel order ``u+1, ..., u-1``
-    where ``u = (pivot_w + t) mod k``.  Groups are returned in ascending
-    offset order (``s = 0, 1, 2, ...``), which Lemma 2 guarantees is monotone
-    in both interval endpoints.
+    A wavelength whose whole adjacency window is occupied can never be
+    granted; dropping it leaves the maximum matching unchanged, so the rule
+    skips to the next candidate (needed for the Section-V occupied-channel
+    case).  The reduced instance's left side — wavelengths with remaining
+    requests in ascending offset order from the pivot, the Lemma-2 shifted
+    ordering — is laid out once here; only the intervals depend on the
+    break.
     """
-    d = e + f + 1
-    u = (pivot_w + t) % k
-    groups: list[_Group] = []
-    for s in range(k):  # offset of wavelength w = pivot_w + s
-        w = (pivot_w + s) % k
-        count = remaining[w]
-        if count == 0:
+    k = len(request_vector)
+    remaining = list(request_vector)
+    skipped = 0
+    for w in range(k):
+        if remaining[w] == 0:
             continue
-        if s == 0:
-            # Pivot's same-wavelength siblings (all later in left order):
-            # adjacency [u+1, w+f] → prefix ending at unwrapped offset f-t-1.
-            lo, hi = 0, f - t - 1
-        else:
-            s_minus = s - k  # negative representative
-            if 1 <= s <= t + e:
-                # Plus side of the pivot: prefix [u+1, w+f].
-                lo, hi = 0, s + f - t - 1
-            elif t - f <= s_minus <= -1:
-                # Minus side (circularly just below u): suffix [w-e, u-1].
-                length = t - s_minus + e
-                lo, hi = (k - 1) - length, k - 2
-            else:
-                # Untouched middle window [w-e, w+f].
-                lo = (w - e - (u + 1)) % k
-                hi = lo + d - 1
-                if hi > k - 2:
-                    raise ScheduleError(
-                        f"internal error: middle window of λ{w} wraps past the "
-                        f"reduced range (lo={lo}, d={d}, k={k})"
-                    )
-        groups.append(_Group(wavelength=w, count=count, lo=lo, hi=hi))
-    return groups
-
-
-def solve_reduced_fast(
-    groups: Sequence[_Group],
-    available_positions: Sequence[tuple[int, int]],
-) -> list[tuple[int, int]]:
-    """First Available on a reduced instance in grouped interval form.
-
-    ``available_positions`` lists ``(position, channel)`` pairs in ascending
-    position order (occupied channels omitted).  Returns ``(wavelength,
-    channel)`` grants.  ``O(k)`` by the same advancing-pointer argument as
-    :func:`repro.core.first_available.first_available_fast`; the monotone
-    endpoint property (Lemma 2) is asserted defensively.
-    """
-    last_lo = last_hi = -1
-    for g in groups:
-        if g.hi < g.lo:
-            continue
-        if g.lo < last_lo or g.hi < last_hi:
-            raise ScheduleError(
-                f"internal error: Lemma-2 monotonicity violated at λ{g.wavelength}: "
-                f"({g.lo}, {g.hi}) after ({last_lo}, {last_hi})"
-            )
-        last_lo, last_hi = g.lo, g.hi
-
-    counts = [g.count for g in groups]
-    grants: list[tuple[int, int]] = []
-    gi = 0
-    n = len(groups)
-    for p, channel in available_positions:
-        while gi < n:
-            g = groups[gi]
-            if counts[gi] == 0 or g.hi < g.lo or g.hi < p:
-                gi += 1
-                continue
+        offsets = [t for t in range(-e, f + 1) if available[(w + t) % k]]
+        if offsets:
             break
-        if gi < n and groups[gi].lo <= p:
+        remaining[w] = 0  # unmatchable: every adjacent channel occupied
+        skipped += 1
+    else:
+        return _Pivot(-1, [], skipped, [], [], [])
+
+    remaining[w] -= 1
+    entry_s: list[int] = []
+    entry_w: list[int] = []
+    counts: list[int] = []
+    for s in range(k):
+        v = (w + s) % k
+        if remaining[v] > 0:
+            entry_s.append(s)
+            entry_w.append(v)
+            counts.append(remaining[v])
+    return _Pivot(w, offsets, skipped, entry_s, entry_w, counts)
+
+
+def _break_sweep(
+    pivot: _Pivot, available: Sequence[bool], e: int, f: int, t: int
+) -> list[tuple[int, int]]:
+    """Break at ``(pivot, pivot + t)`` and run First Available on the rest.
+
+    Returns ``(wavelength, channel)`` pairs: the breaking edge first, then
+    the reduced graph's grants in shifted channel order ``u+1, ..., u-1``.
+    ``O(k)`` by the same advancing-pointer argument as
+    :func:`repro.core.first_available.first_available_fast`.
+    """
+    k = len(available)
+    d = e + f + 1
+    u = (pivot.wavelength + t) % k
+    entry_s, entry_w = pivot.entry_s, pivot.entry_w
+    n_groups = len(entry_s)
+    # Interval decode per group (see module docstring for the cases).
+    lows = [0] * n_groups
+    highs = [0] * n_groups
+    wrap = k + t - f  # smallest positive s on the circular minus side
+    for gi in range(n_groups):
+        s = entry_s[gi]
+        if s == 0:
+            lows[gi], highs[gi] = 0, f - t - 1
+        elif 1 <= s <= t + e:
+            lows[gi], highs[gi] = 0, s + f - t - 1
+        elif s >= wrap:
+            length = t - (s - k) + e
+            lows[gi], highs[gi] = (k - 1) - length, k - 2
+        else:
+            lo = (entry_w[gi] - e - u - 1) % k
+            lows[gi], highs[gi] = lo, lo + d - 1
+    counts = pivot.counts.copy()
+    pairs: list[tuple[int, int]] = [(pivot.wavelength, u)]
+    gi = 0
+    for p in range(k - 1):
+        channel = u + 1 + p
+        if channel >= k:
+            channel -= k
+        if not available[channel]:
+            continue
+        while gi < n_groups and (
+            counts[gi] == 0 or highs[gi] < lows[gi] or highs[gi] < p
+        ):
+            gi += 1
+        if gi < n_groups and lows[gi] <= p:
             counts[gi] -= 1
-            grants.append((groups[gi].wavelength, channel))
-    return grants
+            pairs.append((entry_w[gi], channel))
+    return pairs
 
 
 def bfa_fast(
@@ -171,91 +170,23 @@ def bfa_fast(
         raise InvalidParameterError(
             f"availability mask length {len(available)} != k={k}"
         )
+    if e < 0 or f < 0:
+        raise InvalidParameterError("conversion reaches must be nonnegative")
     if e + f + 1 > k:
         raise InvalidParameterError(
             f"conversion degree e+f+1={e + f + 1} exceeds k={k}"
         )
-    remaining = list(request_vector)
-    stats = {"reduced_graphs": 0, "pivots_skipped": 0}
-
-    # Pivot: the first request overall — the lowest wavelength carrying one.
-    # A wavelength whose whole adjacency window is occupied can never be
-    # granted; dropping it leaves the maximum matching unchanged, so we skip
-    # to the next candidate (needed for the Section-V occupied-channel case).
-    pivot_w = -1
-    pivot_breaks: list[tuple[int, int]] = []  # (t, u) per available break edge
-    for w in range(k):
-        if remaining[w] == 0:
-            continue
-        breaks = [
-            (t, (w + t) % k)
-            for t in range(-e, f + 1)
-            if available[(w + t) % k]
-        ]
-        if breaks:
-            pivot_w = w
-            pivot_breaks = breaks
-            break
-        remaining[w] = 0  # unmatchable: every adjacent channel occupied
-        stats["pivots_skipped"] += 1
-    if pivot_w < 0:
+    pivot = _find_pivot(request_vector, available, e, f)
+    stats = {"reduced_graphs": 0, "pivots_skipped": pivot.skipped}
+    if pivot.wavelength < 0:
         return [], stats
 
-    remaining[pivot_w] -= 1
-
-    # Precompute the reduced instance's left side once: wavelengths with
-    # remaining requests, in ascending offset order from the pivot (the
-    # Lemma-2 shifted ordering).  Only the intervals depend on the break.
-    entry_s: list[int] = []
-    entry_w: list[int] = []
-    base_counts: list[int] = []
-    for s in range(k):
-        w = (pivot_w + s) % k
-        if remaining[w] > 0:
-            entry_s.append(s)
-            entry_w.append(w)
-            base_counts.append(remaining[w])
-    n_groups = len(entry_s)
     n_available = sum(1 for b in range(k) if available[b])
-    perfect = min(sum(base_counts) + 1, n_available)  # +1: the pivot grant
-    d = e + f + 1
-    all_free = n_available == k
-
+    perfect = min(sum(pivot.counts) + 1, n_available)  # +1: the pivot grant
     best_pairs: list[tuple[int, int]] | None = None
-    for t, u in pivot_breaks:
-        # Interval decode per group (see module docstring for the cases).
-        lows = [0] * n_groups
-        highs = [0] * n_groups
-        wrap = k + t - f  # smallest positive s on the circular minus side
-        for gi in range(n_groups):
-            s = entry_s[gi]
-            if s == 0:
-                lows[gi], highs[gi] = 0, f - t - 1
-            elif 1 <= s <= t + e:
-                lows[gi], highs[gi] = 0, s + f - t - 1
-            elif s >= wrap:
-                length = t - (s - k) + e
-                lows[gi], highs[gi] = (k - 1) - length, k - 2
-            else:
-                lo = (entry_w[gi] - e - u - 1) % k
-                lows[gi], highs[gi] = lo, lo + d - 1
-        counts = base_counts.copy()
-        pairs: list[tuple[int, int]] = [(pivot_w, u)]
-        gi = 0
+    for t in pivot.offsets:
+        pairs = _break_sweep(pivot, available, e, f, t)
         stats["reduced_graphs"] += 1
-        for p in range(k - 1):
-            channel = u + 1 + p
-            if channel >= k:
-                channel -= k
-            if not all_free and not available[channel]:
-                continue
-            while gi < n_groups and (
-                counts[gi] == 0 or highs[gi] < lows[gi] or highs[gi] < p
-            ):
-                gi += 1
-            if gi < n_groups and lows[gi] <= p:
-                counts[gi] -= 1
-                pairs.append((entry_w[gi], channel))
         if best_pairs is None or len(pairs) > len(best_pairs):
             best_pairs = pairs
             if len(best_pairs) >= perfect:
@@ -288,7 +219,7 @@ class BreakFirstAvailableScheduler(Scheduler):
 
     def batch_kernel(self, scheme: ConversionScheme) -> BatchKernel | None:
         if isinstance(scheme, CircularConversion) and not scheme.is_full_range:
-            return _batch_bfa.batch_break_first_available
+            return kernels.batch_break_first_available
         return None
 
     def schedule(self, rg: RequestGraph) -> ScheduleResult:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core import batch as _batch
+from repro.core import kernels
 from repro.errors import InvalidParameterError
 from repro.graphs.conversion import (
     ConversionScheme,
@@ -64,10 +64,13 @@ def first_available_fast(
     validation for pre-validated inner-loop callers.
     """
     k = len(request_vector)
-    if check and len(available) != k:
-        raise InvalidParameterError(
-            f"availability mask length {len(available)} != k={k}"
-        )
+    if check:
+        if len(available) != k:
+            raise InvalidParameterError(
+                f"availability mask length {len(available)} != k={k}"
+            )
+        if e < 0 or f < 0:
+            raise InvalidParameterError("conversion reaches must be nonnegative")
     remaining = list(request_vector)
     grants: list[Grant] = []
     p = 0  # smallest wavelength that may still have grantable requests
@@ -124,7 +127,7 @@ class FirstAvailableScheduler(Scheduler):
         # Full range keeps the per-fiber path (its clipped window differs
         # from the scheme's own (e, f); see schedule()).
         if isinstance(scheme, NonCircularConversion):
-            return _batch.batch_first_available
+            return kernels.batch_first_available
         return None
 
     def schedule(self, rg: RequestGraph) -> ScheduleResult:

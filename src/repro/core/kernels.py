@@ -1,32 +1,33 @@
-"""The FA/BFA row sweeps behind the batch schedulers.
+"""Batch FA/BFA across many output fibers, and the row sweeps behind them.
 
-:func:`repro.core.batch.batch_first_available` and
-:func:`repro.core.batch_bfa.batch_break_first_available` run one
-per-output-fiber scheduler per row of an ``(M, k)`` request matrix.  Each
-has two bit-identical sweeps here, and the batch entry points pick one by
-row count alone:
+The distributed schedulers are embarrassingly parallel across the ``N``
+output fibers: each output runs its own O(k) (FA) / O(dk) (BFA) greedy on
+its own request vector.  :func:`batch_first_available` and
+:func:`batch_break_first_available` run one such scheduler per row of an
+``(M, k)`` request matrix.  They validate and normalize their inputs
+(:func:`prepare_inputs`) and hand the arrays to a sweep:
 
 * the **scalar** sweeps (:func:`fa_scalar`, :func:`bfa_scalar`) — plain
   list loops, line-for-line ports of
   :func:`~repro.core.first_available.first_available_fast` and
   :func:`~repro.core.break_first_available.bfa_fast`, with no NumPy
   dispatch inside the loop;
-* the **vectorized** sweeps (:func:`fa_vectorized`,
-  :func:`bfa_vectorized`) — all ``M`` rows advanced channel by channel in
-  lock step with boolean-mask pointer updates, ``O(k)`` (FA) / ``O(dk)``
-  (BFA) NumPy passes of width ``M``.
+* the **vectorized** FA sweep (:func:`fa_vectorized`) — all ``M`` rows
+  advanced channel by channel in lock step with boolean-mask pointer
+  updates, ``O(k)`` NumPy passes of width ``M``.
 
-Up to :data:`SCALAR_ROWS` rows the scalar sweep wins (NumPy's per-call
-dispatch costs more than the whole greedy pass on a small matrix); above
-it the vectorized sweep wins and keeps winning as ``M`` grows.  See
-docs/PERFORMANCE.md, "Kernels", for the measured sweep over ``M``.
+BFA always runs the scalar sweep: a lock-step BFA sweep lost to it on
+most inputs at every row count measured, up to 4096.  FA runs it up to
+:data:`SCALAR_ROWS` rows (NumPy's per-call dispatch costs more than the
+whole greedy pass on a small matrix) and the vectorized sweep above.  See
+docs/PERFORMANCE.md, "Kernels", for the measured sweeps over ``M``.
 
-Inputs are C-contiguous ``(M, k)`` ``int64`` request and ``bool``
+The sweeps take C-contiguous ``(M, k)`` ``int64`` request and ``bool``
 availability matrices plus plain-int ``(e, f)``; every sweep returns the
 ``(M, k)`` ``int64`` assign matrix (``assign[m, b]`` is the wavelength
 granted channel ``b`` of row ``m``, or ``-1``).  The bit-identity suites
-(``tests/test_kernels.py``, ``tests/test_batch*.py``) hold all four sweeps
-to the per-row scalar schedulers.
+(``tests/test_kernels.py``, ``tests/test_batch*.py``) hold every sweep and
+both entry points to the per-row scalar schedulers.
 """
 
 from __future__ import annotations
@@ -35,17 +36,21 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from repro.errors import InvalidParameterError
+
 __all__ = [
     "SCALAR_ROWS",
+    "batch_first_available",
+    "batch_break_first_available",
     "fa_scalar",
     "bfa_scalar",
     "fa_vectorized",
-    "bfa_vectorized",
     "get_backend",
 ]
 
-#: Matrices with at most this many rows run the scalar sweep, larger ones
-#: the vectorized sweep.  Read at call time, so tests can override it.
+#: First Available matrices with at most this many rows run the scalar
+#: sweep, larger ones the vectorized sweep.  Read at call time, so tests
+#: can override it.
 SCALAR_ROWS = 128
 
 _BACKEND = SimpleNamespace(name="numpy")
@@ -58,6 +63,114 @@ def get_backend() -> SimpleNamespace:
     facts line) print this name.
     """
     return _BACKEND
+
+
+# -- batch entry points --------------------------------------------------------
+
+
+def batch_first_available(
+    request_matrix: np.ndarray,
+    available: np.ndarray | None,
+    e: int,
+    f: int,
+    *,
+    check: bool = True,
+) -> np.ndarray:
+    """First Available over ``M`` output fibers at once (non-circular).
+
+    Parameters
+    ----------
+    request_matrix:
+        ``(M, k)`` integer array; entry ``(m, w)`` counts requests on
+        ``λ_w`` destined to output ``m``.
+    available:
+        Optional ``(M, k)`` boolean array of free channels (default: all).
+    e, f:
+        Conversion reach (clipped non-circular windows, as in
+        :func:`~repro.core.first_available.first_available_fast`).
+    check:
+        When False, skip input validation (shape / integer / sign / reach
+        checks).  For inner-loop callers whose inputs are pre-validated —
+        the fast simulator and the service tick loop; malformed input then
+        produces undefined results instead of :class:`InvalidParameterError`.
+
+    Returns
+    -------
+    ``(M, k)`` integer array ``assign`` where ``assign[m, b]`` is the input
+    wavelength granted output channel ``b`` of output ``m``, or ``-1`` if
+    the channel is unused.  Bit-identical to running ``first_available_fast``
+    per row (tested); the row count only picks the faster sweep.
+    """
+    req, avail = prepare_inputs(request_matrix, available, e, f, check)
+    if req.shape[0] <= SCALAR_ROWS:
+        return fa_scalar(req, avail, int(e), int(f))
+    return fa_vectorized(req, avail, int(e), int(f))
+
+
+def batch_break_first_available(
+    request_matrix: np.ndarray,
+    available: np.ndarray | None,
+    e: int,
+    f: int,
+    *,
+    check: bool = True,
+) -> np.ndarray:
+    """Break-and-First-Available over ``M`` output fibers at once (circular).
+
+    Parameters and return value mirror :func:`batch_first_available`.
+    ``O(d k)`` work per row, bit-identical to running
+    :func:`~repro.core.break_first_available.bfa_fast` per row (tested),
+    including pivot selection and the first-best tie-break over the ``d``
+    break offsets.
+    """
+    req, avail = prepare_inputs(request_matrix, available, e, f, check)
+    return bfa_scalar(req, avail, int(e), int(f))
+
+
+def prepare_inputs(
+    request_matrix: np.ndarray,
+    available: np.ndarray | None,
+    e: int,
+    f: int,
+    check: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One batch call's ``(int64 requests, bool availability)`` arrays.
+
+    Shared by both batch entry points.  With ``check`` the inputs are
+    validated first: a 2-D matrix of nonnegative integer counts (floats
+    must be whole numbers — ``0.5`` raises rather than truncating), an
+    availability mask of the same shape, and a reach that fits ``k``.
+    """
+    req = np.asarray(request_matrix)
+    if check:
+        if req.ndim != 2:
+            raise InvalidParameterError(
+                f"request matrix must be 2-D (M, k), got shape {req.shape}"
+            )
+        if req.dtype.kind not in "biu" and not (
+            req.dtype.kind == "f"
+            and bool(np.all(np.isfinite(req) & (req == np.trunc(req))))
+        ):
+            raise InvalidParameterError("request counts must be integers")
+        if np.any(req < 0):
+            raise InvalidParameterError("request counts must be nonnegative")
+    m_rows, k = req.shape
+    if available is None:
+        avail = np.ones((m_rows, k), dtype=bool)
+    else:
+        avail = np.ascontiguousarray(available, dtype=bool)
+        if check and avail.shape != (m_rows, k):
+            raise InvalidParameterError(
+                f"availability shape {avail.shape} != request shape {(m_rows, k)}"
+            )
+    if check:
+        if e < 0 or f < 0:
+            raise InvalidParameterError("conversion reaches must be nonnegative")
+        if e + f + 1 > k:
+            raise InvalidParameterError(
+                f"conversion degree {e + f + 1} exceeds k={k}"
+            )
+    return np.ascontiguousarray(req, dtype=np.int64), avail
 
 
 # -- scalar sweeps -------------------------------------------------------------
@@ -200,7 +313,7 @@ def bfa_scalar(req: np.ndarray, avail: np.ndarray, e: int, f: int) -> np.ndarray
     return assign
 
 
-# -- vectorized sweeps ---------------------------------------------------------
+# -- vectorized sweep ----------------------------------------------------------
 
 
 def fa_vectorized(
@@ -233,133 +346,4 @@ def fa_vectorized(
             g_wl = p[grant]
             remaining[g_rows, g_wl] -= 1
             assign[g_rows, b] = g_wl
-    return assign
-
-
-def _shift_gather(matrix: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Row-wise circular gather: ``out[m, j] = matrix[m, (start[m]+j) % k]``."""
-    m_rows, k = matrix.shape
-    idx = (start[:, None] + np.arange(k)[None, :]) % k
-    return np.take_along_axis(matrix, idx, axis=1)
-
-
-def _candidate_sweep(
-    counts_shifted: np.ndarray,
-    avail_pos: np.ndarray,
-    active: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    record: np.ndarray | None,
-) -> np.ndarray:
-    """One break offset's First Available sweep over all rows at once.
-
-    ``counts_shifted`` is logically consumed (its post-state is
-    unspecified); returns per-row grant counts.  When ``record`` is given
-    (``(M, k-1)`` int array), the granted offset ``s`` is stored per
-    position for assignment reconstruction.
-    """
-    m_rows, k = counts_shifted.shape
-    rows = np.arange(m_rows)
-    ptr = np.where(active, 0, k)  # inactive rows: pointer parked at the end
-    granted = np.zeros(m_rows, dtype=np.int64)
-    for p in range(k - 1):
-        # Advance each row's pointer past exhausted or expired groups.
-        while True:
-            inside = ptr < k
-            safe = np.minimum(ptr, k - 1)
-            need = inside & (
-                (counts_shifted[rows, safe] == 0) | (hi[safe] < p)
-            )
-            if not need.any():
-                break
-            ptr[need] += 1
-        safe = np.minimum(ptr, k - 1)
-        grant = (
-            active
-            & avail_pos[:, p]
-            & (ptr < k)
-            & (lo[safe] <= p)
-        )
-        if grant.any():
-            g_rows = rows[grant]
-            g_s = ptr[grant]
-            counts_shifted[g_rows, g_s] -= 1
-            granted[g_rows] += 1
-            if record is not None:
-                record[g_rows, p] = g_s
-    return granted
-
-
-def bfa_vectorized(
-    req: np.ndarray, avail: np.ndarray, e: int, f: int
-) -> np.ndarray:
-    """Per-row Break-and-First-Available, all rows in lock step.
-
-    Rests on the Lemma-2 closed form for the reduced adjacency described
-    in :mod:`repro.core.batch_bfa`: one interval table per break offset
-    ``t`` serves every row.
-    """
-    m_rows, k = req.shape
-    d = e + f + 1
-    remaining = req.copy()
-    assign = np.full((m_rows, k), -1, dtype=np.int64)
-    rows = np.arange(m_rows)
-
-    # -- pivot selection (vectorized mirror of bfa_fast) --------------------
-    # window_any[m, w]: some channel of λw's circular window is free.
-    window_any = np.zeros((m_rows, k), dtype=bool)
-    for t in range(-e, f + 1):
-        window_any |= np.roll(avail, -t, axis=1)
-    eligible = (remaining > 0) & window_any
-    has_pivot = eligible.any(axis=1)
-    pivot = np.where(has_pivot, eligible.argmax(axis=1), 0)
-    # Wavelengths before the pivot carrying requests are unmatchable
-    # (their whole window is occupied): zero them, as the scalar code does.
-    before = np.arange(k)[None, :] < pivot[:, None]
-    remaining[before & has_pivot[:, None]] = 0
-    remaining[rows[has_pivot], pivot[has_pivot]] -= 1
-
-    # Shared shifted views (independent of t).
-    counts_shifted0 = _shift_gather(remaining, pivot)
-
-    # -- try the d breaks, recording each candidate's grants ----------------
-    s_axis = np.arange(k)
-    best_size = np.full(m_rows, -1, dtype=np.int64)
-    best_t = np.full(m_rows, -e - 1, dtype=np.int64)
-    records: dict[int, np.ndarray | None] = {}
-    for t in range(-e, f + 1):
-        u = (pivot + t) % k
-        active = has_pivot & avail[rows, u]
-        if not active.any():
-            continue
-        lo = np.maximum(0, s_axis - t - e - 1)
-        hi = np.minimum(s_axis - t + f - 1, k - 2)
-        hi[0] = f - t - 1  # pivot's same-wavelength siblings
-        lo[0] = 0
-        avail_pos = _shift_gather(avail, (u + 1) % k)[:, : k - 1]
-        counts = counts_shifted0.copy()
-        record = np.full((m_rows, k - 1), -1, dtype=np.int64) if k > 1 else None
-        granted = _candidate_sweep(counts, avail_pos, active, lo, hi, record)
-        records[t] = record
-        size = np.where(active, granted + 1, -1)  # +1: the breaking edge
-        improved = active & (size > best_size)
-        best_size[improved] = size[improved]
-        best_t[improved] = t
-
-    # -- commit each row's winning break -------------------------------------
-    for t, record in records.items():
-        winners = has_pivot & (best_t == t)
-        if not winners.any():
-            continue
-        u = (pivot + t) % k
-        w_rows = rows[winners]
-        assign[w_rows, u[winners]] = pivot[winners]  # the breaking edge
-        if record is not None:
-            got = record[winners]  # (W, k-1) of granted offsets s or -1
-            for j, m in enumerate(w_rows):
-                ps = np.nonzero(got[j] >= 0)[0]
-                if ps.size:
-                    channels = (u[m] + 1 + ps) % k
-                    wavelengths = (pivot[m] + got[j, ps]) % k
-                    assign[m, channels] = wavelengths
     return assign

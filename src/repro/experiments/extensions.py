@@ -18,10 +18,13 @@ from repro.analysis.analytical import (
     loss_bounds,
     no_conversion_loss_probability,
 )
-from repro.core.batch import batch_first_available
-from repro.core.break_first_available import BreakFirstAvailableScheduler
+from repro.core.break_first_available import (
+    BreakFirstAvailableScheduler,
+    bfa_fast,
+)
 from repro.core.first_available import first_available_fast
 from repro.core.full_range import FullRangeScheduler
+from repro.core.kernels import batch_break_first_available, batch_first_available
 from repro.core.priority import PriorityScheduler
 from repro.experiments.registry import ExperimentResult, experiment
 from repro.graphs.conversion import CircularConversion, FullRangeConversion
@@ -193,11 +196,9 @@ def batch_vectorization(
     identical = bool(np.array_equal(batch_sizes, np.asarray(scalar_sizes)))
     speedup = t_scalar / t_batch
 
-    # Circular counterpart: batch BFA vs per-row bfa_fast at larger M (the
-    # heavier sweep needs more rows to amortize; crossover is ~M=256).
-    from repro.core.batch_bfa import batch_break_first_available
-    from repro.core.break_first_available import bfa_fast
-
+    # Circular counterpart: batch BFA vs per-row bfa_fast at larger M.  The
+    # batch entry point runs the scalar list sweep at every M, so this
+    # ratio is bfa_fast's per-row call and Grant overhead, not NumPy.
     m_bfa = max(n_outputs, 1024)
     req_c = rng.binomial(16, 0.9 / 16, size=(m_bfa, k))
     avail_c = rng.random((m_bfa, k)) > 0.1
@@ -216,7 +217,7 @@ def batch_vectorization(
     speedup_c = t_scalar_c / t_batch_c
 
     table = format_table(
-        ["algorithm", "outputs", "k", "scalar (ms)", "vectorized (ms)",
+        ["algorithm", "outputs", "k", "scalar (ms)", "batch (ms)",
          "speedup", "identical"],
         [
             ("FA", n_outputs, k, t_scalar * 1e3, t_batch * 1e3, speedup, identical),
@@ -236,8 +237,9 @@ def batch_vectorization(
     notes = (
         f"[non-gating] vectorized FA speedup at M={n_outputs}: "
         f"{speedup:.2f}x (>1 expected on typical machines)",
-        f"[non-gating] vectorized BFA speedup at M={m_bfa}: "
-        f"{speedup_c:.2f}x (machine-dependent; crossover is near M=1024)",
+        f"[non-gating] batch BFA speedup at M={m_bfa}: "
+        f"{speedup_c:.2f}x (scalar list sweep at every M; the gain is "
+        "per-row call overhead only)",
     )
     return ExperimentResult(
         "BATCH", "Vectorized batch scheduling", (table,), checks, notes

@@ -20,13 +20,87 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.break_first_available import _Group, _reduced_groups
-from repro.errors import HardwareModelError, InvalidParameterError
+from repro.errors import HardwareModelError, InvalidParameterError, ScheduleError
 from repro.hardware.fa_unit import FiberSelect, HardwareGrant
 from repro.hardware.registers import RequestRegister
 from repro.util.validation import check_nonnegative_int
 
 __all__ = ["BreakFirstAvailableUnit", "ParallelBFAUnit"]
+
+
+@dataclass(frozen=True, slots=True)
+class _Group:
+    """One wavelength's requests in a reduced instance: ``count`` requests
+    whose shifted-position adjacency is ``[lo, hi]`` (empty if ``hi < lo``)."""
+
+    wavelength: int
+    count: int
+    lo: int
+    hi: int
+
+
+def _reduced_groups(
+    remaining: Sequence[int],
+    k: int,
+    e: int,
+    f: int,
+    pivot_w: int,
+    t: int,
+) -> list[_Group]:
+    """Interval form of the reduced graph after breaking at ``(pivot, W+t)``.
+
+    The unit's own break decode, written apart from the software
+    ``bfa_fast`` so that their bit-equality test checks one against the
+    other.  ``remaining`` are request counts with the pivot's own request
+    already removed.  Positions index the shifted channel order ``u+1, ...,
+    u-1`` where ``u = (pivot_w + t) mod k``.  Groups are returned in
+    ascending offset order (``s = 0, 1, 2, ...``), which Lemma 2 guarantees
+    is monotone in both interval endpoints; that and the middle window's
+    fit in the reduced range are checked at run time.
+    """
+    d = e + f + 1
+    u = (pivot_w + t) % k
+    groups: list[_Group] = []
+    for s in range(k):  # offset of wavelength w = pivot_w + s
+        w = (pivot_w + s) % k
+        count = remaining[w]
+        if count == 0:
+            continue
+        if s == 0:
+            # Pivot's same-wavelength siblings (all later in left order):
+            # adjacency [u+1, w+f] → prefix ending at unwrapped offset f-t-1.
+            lo, hi = 0, f - t - 1
+        else:
+            s_minus = s - k  # negative representative
+            if 1 <= s <= t + e:
+                # Plus side of the pivot: prefix [u+1, w+f].
+                lo, hi = 0, s + f - t - 1
+            elif t - f <= s_minus <= -1:
+                # Minus side (circularly just below u): suffix [w-e, u-1].
+                length = t - s_minus + e
+                lo, hi = (k - 1) - length, k - 2
+            else:
+                # Untouched middle window [w-e, w+f].
+                lo = (w - e - (u + 1)) % k
+                hi = lo + d - 1
+                if hi > k - 2:
+                    raise ScheduleError(
+                        f"internal error: middle window of λ{w} wraps past the "
+                        f"reduced range (lo={lo}, d={d}, k={k})"
+                    )
+        groups.append(_Group(wavelength=w, count=count, lo=lo, hi=hi))
+
+    last_lo = last_hi = -1
+    for g in groups:
+        if g.hi < g.lo:
+            continue
+        if g.lo < last_lo or g.hi < last_hi:
+            raise ScheduleError(
+                f"internal error: Lemma-2 monotonicity violated at λ{g.wavelength}: "
+                f"({g.lo}, {g.hi}) after ({last_lo}, {last_hi})"
+            )
+        last_lo, last_hi = g.lo, g.hi
+    return groups
 
 
 @dataclass(frozen=True, slots=True)

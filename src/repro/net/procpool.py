@@ -42,6 +42,13 @@ therefore has no policy state to lose.
 The parent's retry loop (:meth:`ProcessShardPool.call`) respawns a dead
 worker and re-sends the same payload; repeated failures of one call
 raise a typed :class:`~repro.errors.WorkerProcessError`.
+
+Known defect: worker shards never compact their journals.  Nothing on
+the worker side snapshots or calls ``ShardJournal.compact``, so each
+shard's journal grows by one ADVANCE record per slot, idle or not, and
+every respawn or rewind re-decodes the whole history.  The planned fix
+is one rebuild path shared by recovery, respawn and migration (ROADMAP
+item 8); see docs/ROBUSTNESS.md, "Snapshots".
 """
 
 from __future__ import annotations

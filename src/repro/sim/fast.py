@@ -4,8 +4,8 @@ Parameter sweeps like ``PERF-D`` and the Section-V burst sweeps don't need
 per-packet Python objects: the paper's structural insight — per-slot
 scheduling decomposes into ``N`` independent per-output sub-problems — makes
 the whole slot one batch kernel call
-(:func:`~repro.core.batch.batch_first_available` /
-:func:`~repro.core.batch_bfa.batch_break_first_available`) over the ``(N,
+(:func:`~repro.core.kernels.batch_first_available` /
+:func:`~repro.core.kernels.batch_break_first_available`) over the ``(N,
 k)`` request matrix.
 
 Two regimes share that kernel:
@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.batch import batch_first_available
-from repro.core.batch_bfa import batch_break_first_available
 from repro.core.distributed import SlotRequest, _check_assign
+from repro.core.kernels import batch_break_first_available, batch_first_available
 from repro.core.memo import ScheduleCache, resolve_cache
 from repro.core.policies import GrantPolicy, RandomPolicy
 from repro.errors import SimulationError

@@ -1,12 +1,12 @@
-"""Tests for the vectorized batch First Available scheduler."""
+"""Tests for the batch First Available scheduler."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import batch_first_available
 from repro.core.first_available import first_available_fast
+from repro.core.kernels import batch_first_available
 from repro.errors import InvalidParameterError
 
 

@@ -1,12 +1,12 @@
-"""Tests for the vectorized batch Break-and-First-Available scheduler."""
+"""Tests for the batch Break-and-First-Available scheduler."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch_bfa import batch_break_first_available
 from repro.core.break_first_available import bfa_fast
+from repro.core.kernels import batch_break_first_available
 from repro.errors import InvalidParameterError
 from repro.graphs.conversion import CircularConversion
 

@@ -1,11 +1,11 @@
-"""Bit-identity of the scalar and vectorized FA/BFA sweeps.
+"""Bit-identity of the FA/BFA sweeps and the batch entry points.
 
 The contract under test (``repro/core/kernels.py``): the scalar list
-sweeps, the lock-step vectorized sweeps and the batch entry points that
-pick between them by row count all produce byte-identical assign matrices,
-equal to running the per-row schedulers (``first_available_fast`` /
-``bfa_fast``) row by row; and the ``SCALAR_ROWS`` cutover is one constant
-read at call time.
+sweeps, FA's lock-step vectorized sweep and the batch entry points that
+run them all produce byte-identical assign matrices, equal to running the
+per-row schedulers (``first_available_fast`` / ``bfa_fast``) row by row;
+FA's ``SCALAR_ROWS`` cutover is one constant read at call time; and the
+per-row and batch entry points reject the same bad reach.
 """
 
 import numpy as np
@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
-from repro.core.batch import batch_first_available
-from repro.core.batch_bfa import batch_break_first_available
 from repro.core.break_first_available import bfa_fast
 from repro.core.first_available import first_available_fast
+from repro.core.kernels import batch_break_first_available, batch_first_available
+from repro.errors import InvalidParameterError
 
 
 def _inputs(rows: int, k: int, seed: int):
@@ -48,19 +48,18 @@ def _bfa_oracle(req, avail, e, f):
     return out
 
 
-#: batch entry point -> (scalar sweep, vectorized sweep, per-row oracle)
+#: batch entry point -> (the sweeps it may run, per-row oracle)
 SWEEPS = {
-    batch_first_available: (kernels.fa_scalar, kernels.fa_vectorized, _fa_oracle),
-    batch_break_first_available: (
-        kernels.bfa_scalar,
-        kernels.bfa_vectorized,
-        _bfa_oracle,
+    batch_first_available: (
+        (kernels.fa_scalar, kernels.fa_vectorized),
+        _fa_oracle,
     ),
+    batch_break_first_available: ((kernels.bfa_scalar,), _bfa_oracle),
 }
 
 
 class TestCrossBackendIdentity:
-    """Scalar sweep == vectorized sweep == batch entry point == oracle."""
+    """Every sweep == batch entry point == oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -74,33 +73,34 @@ class TestCrossBackendIdentity:
         if e + f + 1 > k:
             return
         req, avail = _inputs(rows, k, seed)
-        for kernel, (scalar, vectorized, oracle) in SWEEPS.items():
+        for kernel, (sweeps, oracle) in SWEEPS.items():
             expected = oracle(req, avail, e, f).tolist()
             for got in (
-                scalar(req, avail, e, f),
-                vectorized(req, avail, e, f),
+                *(sweep(req, avail, e, f) for sweep in sweeps),
                 kernel(req, avail, e, f),
             ):
                 assert got.tolist() == expected, (kernel.__name__, req, avail)
 
+    @pytest.mark.parametrize("k, e, f", [(16, 1, 1), (64, 2, 1), (9, 0, 2)])
     @pytest.mark.parametrize("rows", [127, 128, 129])
     @pytest.mark.parametrize(
         "kernel", [batch_first_available, batch_break_first_available]
     )
-    def test_scalar_cutover_rows_bit_identical(self, rows, kernel):
+    def test_scalar_cutover_rows_bit_identical(self, rows, kernel, k, e, f):
         """Pin bit-identity at exactly the SCALAR_ROWS boundary.
 
-        128 is the last matrix the batch entry points hand to the scalar
-        sweep, 129 the first they vectorize; 127/128/129 must all agree
-        with both sweeps and the per-row oracle byte for byte.
+        128 is the last matrix the FA entry point hands to the scalar
+        sweep, 129 the first it vectorizes; 127/128/129 must all agree
+        with every sweep and the per-row oracle byte for byte, at equal
+        and unequal reaches.
         """
         assert kernels.SCALAR_ROWS == 128
-        req, avail = _inputs(rows, 16, seed=rows)
-        scalar, vectorized, oracle = SWEEPS[kernel]
-        expected = oracle(req, avail, 1, 1).tolist()
-        assert kernel(req, avail, 1, 1).tolist() == expected
-        assert scalar(req, avail, 1, 1).tolist() == expected
-        assert vectorized(req, avail, 1, 1).tolist() == expected
+        req, avail = _inputs(rows, k, seed=rows)
+        sweeps, oracle = SWEEPS[kernel]
+        expected = oracle(req, avail, e, f).tolist()
+        assert kernel(req, avail, e, f).tolist() == expected
+        for sweep in sweeps:
+            assert sweep(req, avail, e, f).tolist() == expected
 
     def test_scalar_rows_is_read_at_call_time(self, monkeypatch):
         """The cutover is the single module constant, not a frozen copy."""
@@ -119,6 +119,26 @@ class TestCrossBackendIdentity:
         monkeypatch.setattr(kernels, "SCALAR_ROWS", 7)
         batch_first_available(req, avail, 1, 1)
         assert calls == [8]  # 8 > 7: vectorized, scalar sweep not called
+
+
+class TestReachValidation:
+    """The per-row schedulers reject a negative reach, as the batch entry
+    points do, instead of granting outside the conversion window."""
+
+    @pytest.mark.parametrize("e, f", [(-1, 1), (1, -1)])
+    def test_negative_reach_rejected_everywhere(self, e, f):
+        req, avail = [1, 0, 0, 0], [True] * 4
+        per_row = (
+            lambda: first_available_fast(req, avail, e, f),
+            lambda: bfa_fast(req, avail, e, f),
+        )
+        batch = (
+            lambda: batch_first_available(np.array([req]), None, e, f),
+            lambda: batch_break_first_available(np.array([req]), None, e, f),
+        )
+        for call in (*per_row, *batch):
+            with pytest.raises(InvalidParameterError):
+                call()
 
 
 class TestReportName:

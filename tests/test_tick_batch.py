@@ -16,8 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import batch as batch_mod
-from repro.core import batch_bfa as batch_bfa_mod
+from repro.core import kernels
 from repro.core.break_first_available import BreakFirstAvailableScheduler
 from repro.core.distributed import (
     FiberRow,
@@ -204,11 +203,11 @@ class TestRouting:
             FirstAvailableScheduler().batch_kernel(
                 NonCircularConversion(6, 1, 1)
             )
-            is batch_mod.batch_first_available
+            is kernels.batch_first_available
         )
         assert (
             BreakFirstAvailableScheduler().batch_kernel(SCHEME)
-            is batch_bfa_mod.batch_break_first_available
+            is kernels.batch_break_first_available
         )
         assert FirstAvailableScheduler().batch_kernel(SCHEME) is None
         assert (
@@ -230,7 +229,7 @@ class TestRouting:
 
 def _corrupting(defect):
     """A BFA kernel that corrupts the row carrying λ5 with ``defect``."""
-    real = batch_bfa_mod.batch_break_first_available
+    real = kernels.batch_break_first_available
 
     def kernel(req, avail, e, f, *, check=True):
         assign = real(req, avail, e, f, check=check)
@@ -265,7 +264,7 @@ def _bad_value(row):
 )
 def test_failed_row_crashes_only_its_shard(monkeypatch, defect, message):
     monkeypatch.setattr(
-        batch_bfa_mod, "batch_break_first_available", _corrupting(defect)
+        kernels, "batch_break_first_available", _corrupting(defect)
     )
     rows = _tick_rows(BreakFirstAvailableScheduler(cache=None))
     got = schedule_tick(SCHEME, FixedPriorityPolicy(), rows)
@@ -282,7 +281,7 @@ def test_grant_on_unavailable_channel_fails_the_check(monkeypatch):
         row[0] = 5
 
     monkeypatch.setattr(
-        batch_bfa_mod, "batch_break_first_available", _corrupting(grab_dark)
+        kernels, "batch_break_first_available", _corrupting(grab_dark)
     )
     rows = _tick_rows(BreakFirstAvailableScheduler(cache=None))
     rows[1] = rows[1]._replace(available=[False] + [True] * 5)
@@ -300,7 +299,7 @@ class _RaisingBFA(BreakFirstAvailableScheduler):
         def kernel(req, avail, e, f, *, check=True):
             if req[:, 5].any():
                 raise RuntimeError("kernel fault")
-            return batch_bfa_mod.batch_break_first_available(
+            return kernels.batch_break_first_available(
                 req, avail, e, f, check=check
             )
 

@@ -17,9 +17,9 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.core.batch_bfa import batch_break_first_available
 from repro.core.break_first_available import BreakFirstAvailableScheduler
 from repro.core.distributed import SlotRequest
+from repro.core.kernels import batch_break_first_available
 from repro.graphs.conversion import CircularConversion
 from repro.net.procpool import POISON_BEFORE_REPLY
 from repro.net.procservice import ProcessShardedService
