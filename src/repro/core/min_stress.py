@@ -20,7 +20,6 @@ at ``O(n³)`` per output fiber instead of ``O(dk)``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.core.base import Scheduler, make_result
 from repro.graphs.request_graph import RequestGraph
@@ -57,6 +56,9 @@ class MinStressScheduler(Scheduler):
     name = "min-stress"
 
     def schedule(self, rg: RequestGraph) -> ScheduleResult:
+        # Imported here so importing repro.core never loads scipy.
+        from scipy.optimize import linear_sum_assignment
+
         n = rg.n_requests
         k = rg.k
         if n == 0:

@@ -43,6 +43,17 @@ The parent's retry loop (:meth:`ProcessShardPool.call`) respawns a dead
 worker and re-sends the same payload; repeated failures of one call
 raise a typed :class:`~repro.errors.WorkerProcessError`.
 
+Start-up is two steps per worker: start the process, then await its
+``ready`` handshake (sent once its shards are rebuilt).  The pool's
+constructor starts every worker before it awaits any, so the spawned
+interpreters boot side by side; a respawn or
+:meth:`ProcessShardPool.add_worker` starts and awaits one.  A worker
+that dies before ``ready``, or misses the handshake budget, raises
+:class:`~repro.errors.WorkerProcessError` chained from the cause; a
+failing constructor first kills and reaps every worker it started and
+shuts its executor down.  Nothing a worker imports loads scipy, so its
+cold start pays for NumPy and this package only.
+
 Known defect: worker shards never compact their journals.  Nothing on
 the worker side snapshots or calls ``ShardJournal.compact``, so each
 shard's journal grows by one ADVANCE record per slot, idle or not, and
@@ -374,8 +385,18 @@ class ProcessShardPool:
             max_workers=n_workers, thread_name_prefix="repro-procpool"
         )
         self._closed = False
-        for h in self._workers:
-            self._spawn(h)
+        # Start every worker before awaiting any: the interpreters boot
+        # side by side instead of one after another.
+        try:
+            for h in self._workers:
+                self._start(h)
+            for h in self._workers:
+                self._await_ready(h)
+        except BaseException:
+            for h in self._workers:
+                self._kill(h)
+            self._executor.shutdown(wait=True)
+            raise
 
     @property
     def n_workers(self) -> int:
@@ -416,6 +437,11 @@ class ProcessShardPool:
     # -- lifecycle ----------------------------------------------------------
 
     def _spawn(self, h: _WorkerHandle) -> None:
+        self._start(h)
+        self._await_ready(h)
+
+    def _start(self, h: _WorkerHandle) -> None:
+        """Start ``h``'s process; :meth:`_await_ready` awaits its handshake."""
         parent_conn, child_conn = self._ctx.Pipe()
         h.process = self._ctx.Process(
             target=worker_main,
@@ -434,6 +460,10 @@ class ProcessShardPool:
         h.process.start()
         child_conn.close()
         h.conn = parent_conn
+
+    def _await_ready(self, h: _WorkerHandle) -> None:
+        """Wait for ``h``'s ``ready`` handshake; any failure to start,
+        including dying first, raises :class:`WorkerProcessError`."""
         try:
             # Start-up is not a liveness question: a fresh interpreter +
             # journal replay legitimately takes longer than a tuned-down
@@ -442,8 +472,10 @@ class ProcessShardPool:
             tag, _payload = self._recv(
                 h, timeout=max(30.0, self.unresponsive_timeout)
             )
-        except _WorkerUnresponsive as exc:
-            raise WorkerProcessError(str(exc)) from exc
+        except (EOFError, OSError, _WorkerUnresponsive) as exc:
+            raise WorkerProcessError(
+                f"worker {h.worker_id} failed to start: {exc}"
+            ) from exc
         if tag != "ready":
             raise WorkerProcessError(
                 f"worker {h.worker_id} failed to start: {tag!r}"
@@ -521,6 +553,12 @@ class ProcessShardPool:
         worker must not linger next to its replacement (it would fight
         over the journal on the next respawn).
         """
+        self._kill(h)
+        h.respawns += 1
+        self._spawn(h)
+
+    def _kill(self, h: _WorkerHandle) -> None:
+        """Close ``h``'s pipe and kill and reap its process, if any."""
         if h.conn is not None:
             h.conn.close()
             h.conn = None
@@ -528,8 +566,6 @@ class ProcessShardPool:
             if h.process.is_alive():
                 h.process.kill()
             h.process.join(timeout=5.0)
-        h.respawns += 1
-        self._spawn(h)
 
     # -- elasticity ----------------------------------------------------------
 

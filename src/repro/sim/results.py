@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import InvalidParameterError
 from repro.sim.metrics import MetricsCollector
@@ -32,6 +31,9 @@ def mean_confidence_interval(
     mean = float(arr.mean())
     if arr.size < 2:
         return mean, mean, mean
+    # Imported here so importing repro.sim never loads scipy.
+    from scipy import stats
+
     sem = float(stats.sem(arr))
     if sem == 0.0:
         return mean, mean, mean

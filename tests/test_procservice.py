@@ -5,6 +5,8 @@ costs real time — the tests share stacks where the scenarios allow it.
 """
 
 import asyncio
+import multiprocessing
+import shutil
 
 import pytest
 
@@ -12,7 +14,7 @@ pytestmark = [pytest.mark.net, pytest.mark.slow]
 
 from repro.core.distributed import SlotRequest
 from repro.core.first_available import FirstAvailableScheduler
-from repro.core.policies import RandomPolicy
+from repro.core.policies import FixedPriorityPolicy, RandomPolicy
 from repro.errors import InvalidParameterError, WorkerProcessError
 from repro.graphs.conversion import NonCircularConversion
 from repro.net.procpool import (
@@ -318,6 +320,48 @@ class TestPoolEdges:
             assert pool._workers[0].respawns == 0
         finally:
             pool.stop()
+
+
+class TestWorkerStartup:
+    """A worker that dies before its ``ready`` handshake is a typed
+    :class:`WorkerProcessError`, and a failed constructor leaves no
+    process behind."""
+
+    def test_constructor_failure_is_typed_and_reaps_workers(self, tmp_path):
+        # A regular file where worker 1's journal directory belongs:
+        # worker 1 dies on mkdir while worker 0 starts normally.
+        (tmp_path / "worker-1").write_text("not a directory")
+        with pytest.raises(WorkerProcessError, match="failed to start") as ei:
+            ProcessShardPool(
+                N_FIBERS,
+                NonCircularConversion(K, 1, 1),
+                FirstAvailableScheduler(),
+                FixedPriorityPolicy(),
+                n_workers=2,
+                journal_dir=tmp_path,
+            )
+        assert isinstance(ei.value.__cause__, (EOFError, OSError))
+        assert multiprocessing.active_children() == []
+
+    def test_respawn_dying_before_ready_is_typed(self, tmp_path):
+        pool = ProcessShardPool(
+            N_FIBERS,
+            NonCircularConversion(K, 1, 1),
+            FirstAvailableScheduler(),
+            FixedPriorityPolicy(),
+            n_workers=2,
+            journal_dir=tmp_path,
+        )
+        try:
+            pool.kill_worker(1)
+            shutil.rmtree(tmp_path / "worker-1")
+            (tmp_path / "worker-1").write_text("not a directory")
+            with pytest.raises(WorkerProcessError, match="failed to start"):
+                pool.call(1, "busy")
+            assert pool.call(0, "busy") is not None
+        finally:
+            pool.stop()
+        assert multiprocessing.active_children() == []
 
 
 class TestPartitionUnavailable:
