@@ -8,10 +8,13 @@ its own request vector.  :func:`batch_first_available` and
 (:func:`prepare_inputs`) and hand the arrays to a sweep:
 
 * the **scalar** sweeps (:func:`fa_scalar`, :func:`bfa_scalar`) — plain
-  list loops, line-for-line ports of
-  :func:`~repro.core.first_available.first_available_fast` and
-  :func:`~repro.core.break_first_available.bfa_fast`, with no NumPy
-  dispatch inside the loop;
+  list loops with no NumPy dispatch inside the loop.  :func:`fa_scalar`
+  is a line-for-line port of
+  :func:`~repro.core.first_available.first_available_fast`.
+  :func:`bfa_scalar` runs the greedy of
+  :func:`~repro.core.break_first_available.bfa_fast` a request group at
+  a time from a per-scheme interval table, rather than a channel at a
+  time; the two are bit-identical by test, not by construction;
 * the **vectorized** FA sweep (:func:`fa_vectorized`) — all ``M`` rows
   advanced channel by channel in lock step with boolean-mask pointer
   updates, ``O(k)`` NumPy passes of width ``M``.
@@ -32,6 +35,8 @@ both entry points to the per-row scalar schedulers.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import accumulate, compress
 from types import SimpleNamespace
 
 import numpy as np
@@ -205,11 +210,51 @@ def fa_scalar(req: np.ndarray, avail: np.ndarray, e: int, f: int) -> np.ndarray:
     return assign
 
 
-def _bfa_row(c: list, a: list, e: int, f: int, row: list) -> None:
-    """One row of Break-and-First-Available (bfa_fast's exact greedy).
+@cache
+def _bfa_decode(k: int, e: int, f: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The reduced graph's adjacency intervals, ``[t + e] -> (lows, highs)``.
 
-    ``c`` (request counts) is consumed; grants land in ``row`` as
-    ``row[channel] = wavelength``.
+    Break at ``(pivot, u = pivot + t)`` and sweep the channels after
+    ``u``: position ``p`` is channel ``u + 1 + p``, ``0 <= p <= k - 2``.
+    The requests on wavelength ``pivot + s`` are then adjacent to
+    positions ``s - t - e - 1 .. s - t + f - 1``, their conversion
+    window, clipped to that range.  The four interval cases of
+    :func:`~repro.core.break_first_available._break_sweep` are this one
+    window: the pivot's own wavelength and the prefix side are clipped at
+    0, the suffix side at ``k - 2``, the rest is whole.  It depends on
+    ``(k, e, f, s, t)`` only.
+
+    Stored for :func:`_bfa_row`'s free-channel counts: the interval is
+    the channels from ``u + lows[s]`` up to, not including,
+    ``u + highs[s]``.  The one empty interval (``s = 0`` at ``t = f``:
+    the pivot's other requests, with ``u`` its last channel) comes out
+    as ``(1, 1)``, which selects nothing.
+    """
+    return tuple(
+        (
+            tuple(max(s - t - e, 1) for s in range(k)),
+            tuple(min(s - t + f + 1, k) for s in range(k)),
+        )
+        for t in range(-e, f + 1)
+    )
+
+
+def _bfa_row(
+    c: list, a: list, n_free: list, free: list, e: int, f: int, row: list
+) -> None:
+    """One row of Break-and-First-Available (bfa_fast's greedy, its grants
+    bit for bit).
+
+    ``c`` (request counts) is consumed; ``a`` is the availability row and
+    ``n_free``/``free`` its layout (see :func:`bfa_scalar`).  Grants land
+    in ``row`` as ``row[channel] = wavelength``.  Each break runs First
+    Available on the reduced graph one request group at a time — a group
+    is the requests on one wavelength, in ascending offset from the
+    pivot.  A group takes the next free channels of its interval, up to
+    its count: the same run that bfa_fast's channel-by-channel pointer
+    grants it.  ``n_free`` locates each run in O(1), so a break costs
+    O(groups) steps rather than O(k).  Only the winning break's runs are
+    written.
     """
     k = len(c)
     # Pivot: first wavelength carrying a request with any free channel in
@@ -231,72 +276,47 @@ def _bfa_row(c: list, a: list, e: int, f: int, row: list) -> None:
         return
     c[pivot] -= 1
 
-    entry_s: list[int] = []
-    entry_w: list[int] = []
-    base: list[int] = []
-    for s in range(k):
-        w = (pivot + s) % k
-        if c[w] > 0:
-            entry_s.append(s)
-            entry_w.append(w)
-            base.append(c[w])
-    ng = len(entry_s)
-    n_avail = sum(1 for b in range(k) if a[b])
-    perfect = min(sum(base) + 1, n_avail)
-    d = e + f + 1
+    # Every wavelength below the pivot is 0 now, so the remaining requests
+    # in ascending offset s from the pivot are the nonzero tail from it.
+    tail = c[pivot:]
+    entry_s = list(compress(range(k - pivot), tail))
+    counts = list(compress(tail, tail))
+    perfect = min(sum(counts) + 1, n_free[k])
+    tables = _bfa_decode(k, e, f)
 
     best_n = -1
-    best_wl: list[int] = []
-    best_ch: list[int] = []
+    best_u = -1
+    best_runs: list[tuple[int, int, int]] = []
     for t in range(-e, f + 1):
         u = (pivot + t) % k
         if not a[u]:
             continue
-        # Interval decode per group (bfa_fast's three cases).
-        lows = [0] * ng
-        highs = [0] * ng
-        wrap = k + t - f
-        for gi in range(ng):
-            s = entry_s[gi]
-            if s == 0:
-                highs[gi] = f - t - 1
-            elif 1 <= s <= t + e:
-                highs[gi] = s + f - t - 1
-            elif s >= wrap:
-                length = t - (s - k) + e
-                lows[gi] = (k - 1) - length
-                highs[gi] = k - 2
-            else:
-                lo = (entry_w[gi] - e - u - 1) % k
-                lows[gi] = lo
-                highs[gi] = lo + d - 1
-        counts = base.copy()
-        cur_wl = [pivot]
-        cur_ch = [u]
-        gi = 0
-        for p in range(k - 1):
-            channel = u + 1 + p
-            if channel >= k:
-                channel -= k
-            if not a[channel]:
-                continue
-            while gi < ng and (
-                counts[gi] == 0 or highs[gi] < lows[gi] or highs[gi] < p
-            ):
-                gi += 1
-            if gi < ng and lows[gi] <= p:
-                counts[gi] -= 1
-                cur_wl.append(entry_w[gi])
-                cur_ch.append(channel)
-        n = len(cur_wl)
+        lows, highs = tables[t + e]
+        swept = n_free[u : u + k + 1]  # swept[x] = n_free[u + x]
+        j = swept[1]  # index of the next free channel to grant
+        n = 1  # the breaking edge (pivot, u)
+        runs = []  # (offset s, first free-channel index, channels taken)
+        for s, count in zip(entry_s, counts):
+            lo = swept[lows[s]]
+            if lo > j:
+                j = lo  # free channels before the interval stay unused
+            take = swept[highs[s]] - j
+            if take > 0:
+                if take > count:
+                    take = count
+                runs.append((s, j, take))
+                n += take
+                j += take
         if n > best_n:  # first-best tie-break over the d breaks
             best_n = n
-            best_wl = cur_wl
-            best_ch = cur_ch
+            best_u = u
+            best_runs = runs
             if best_n >= perfect:
                 break
-    for i in range(best_n):
-        row[best_ch[i]] = best_wl[i]
+    row[best_u] = pivot
+    for s, j, take in best_runs:
+        for b in free[j : j + take]:
+            row[b] = pivot + s
 
 
 def bfa_scalar(req: np.ndarray, avail: np.ndarray, e: int, f: int) -> np.ndarray:
@@ -305,8 +325,21 @@ def bfa_scalar(req: np.ndarray, avail: np.ndarray, e: int, f: int) -> np.ndarray
     rem = req.tolist()
     avail_l = avail.tolist()
     out = [[-1] * k for _ in range(m_rows)]
+    # Per availability row: n_free[x] counts the free channels below x,
+    # channel b counted again at b + k, so the free channels met after a
+    # break channel u are entries n_free[u + 1] .. n_free[u + k] - 1 of
+    # ``free`` (the free channels, listed twice).
+    layouts: dict[tuple, tuple[list, list]] = {}
     for m in range(m_rows):
-        _bfa_row(rem[m], avail_l[m], e, f, out[m])
+        a = avail_l[m]
+        key = tuple(a)
+        layout = layouts.get(key)
+        if layout is None:
+            layout = layouts[key] = (
+                list(accumulate(a + a, initial=0)),
+                list(compress(range(k), a)) * 2,
+            )
+        _bfa_row(rem[m], a, *layout, e, f, out[m])
     assign = np.full((m_rows, k), -1, dtype=np.int64)
     if m_rows:
         assign[:] = out

@@ -73,7 +73,8 @@ class FastPacketSimulator:
     RandomPolicy` the full engine would use — which is what makes the two
     engines bit-identical on one seed.
 
-    ``cache`` memoizes per-output assignment rows (``True`` = the shared
+    ``cache`` memoizes per-output assignment rows, each stored as the
+    kernel's row (a plain list) with its grant count (``True`` = the shared
     default :class:`~repro.core.memo.ScheduleCache`, ``None``/``False`` =
     off, or a private instance).  Purely a speed knob: results are
     bit-identical either way.
@@ -167,24 +168,17 @@ class FastPacketSimulator:
             req, avail, self.scheme.e, self.scheme.f, check=False
         )
 
-    @staticmethod
-    def _parse_row(row: np.ndarray) -> tuple[dict[int, list[int]], int]:
-        """``(granted channels keyed by wavelength, grant count)`` of a
-        kernel assignment row — the only two things consumers ever read."""
-        channels_by_w: dict[int, list[int]] = {}
-        count = 0
-        for b, w in enumerate(row.tolist()):
-            if w >= 0:
-                channels_by_w.setdefault(w, []).append(b)
-                count += 1
-        return channels_by_w, count
-
     def _assign_rows(
         self, req: np.ndarray, avail: np.ndarray | None
-    ) -> dict[int, tuple[dict[int, list[int]], int]]:
-        """Parsed assignment per output that has requests, memoized per row.
+    ) -> dict[int, tuple[list[int], int]]:
+        """``(kernel row, grant count)`` per output that has requests,
+        memoized per row.
 
-        Outputs without requests grant nothing and are omitted.  Every
+        The kernel row is the assign matrix's row as a plain list
+        (``row[b]`` is the wavelength granted channel ``b``, or ``-1``).
+        Both regimes cache and read this one shape — a single-slot run
+        with outages and a multi-slot run can share a cache key.  Outputs
+        without requests grant nothing and are omitted.  Every
         cache miss (every row, with the cache off) is scheduled by one
         kernel call, and the kernel's rows are checked as one array by
         the service tick's trust boundary
@@ -194,7 +188,7 @@ class FastPacketSimulator:
         are read-only by convention — every consumer only reads them.
         """
         cache = self._row_cache
-        rows_out: dict[int, tuple[dict[int, list[int]], int]] = {}
+        rows_out: dict[int, tuple[list[int], int]] = {}
         misses: list[tuple[int, tuple | None]] = []
         for o in np.flatnonzero(req.any(axis=1)).tolist():
             if cache is None:
@@ -230,8 +224,8 @@ class FastPacketSimulator:
                 f"batch kernel row of output {idx[j]} in slot "
                 f"{self._slot - 1} is infeasible: {errors[j]}"
             ) from errors[j]
-        for (o, key), row in zip(misses, sub):
-            value = self._parse_row(row)
+        for (o, key), row in zip(misses, sub.tolist()):
+            value = (row, len(row) - row.count(-1))
             if key is not None:
                 cache.put(key, value)
             rows_out[o] = value
@@ -330,7 +324,10 @@ class FastPacketSimulator:
         g_ch: list[int] = []
         g_wl: list[int] = []
         for o in sorted(by_output):
-            channels_by_w = assign_rows[o][0]
+            channels_by_w: dict[int, list[int]] = {}
+            for b, w in enumerate(assign_rows[o][0]):
+                if w >= 0:
+                    channels_by_w.setdefault(w, []).append(b)
             for w in sorted(by_output[o]):
                 by_fiber = by_output[o][w]
                 channels = channels_by_w.get(w, ())

@@ -5,8 +5,10 @@ import pytest
 
 from repro.core.break_first_available import BreakFirstAvailableScheduler
 from repro.core.first_available import FirstAvailableScheduler
+from repro.core.memo import ScheduleCache
 from repro.core.policies import WeightedFairPolicy
 from repro.errors import SimulationError
+from repro.faults import ChannelOutage, FaultPlan
 from repro.graphs.conversion import (
     CircularConversion,
     FullRangeConversion,
@@ -230,3 +232,60 @@ class TestVectorizedMode:
         assert m.granted + m.rejected == m.submitted
         assert 0.0 <= m.loss_probability <= 1.0
         assert m.input_fairness == 1.0  # attribution intentionally neutral
+
+
+class _OwnerTrackingCache(ScheduleCache):
+    """Counts hits on entries that another run put."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.run = ""
+        self.owner: dict = {}
+        self.cross_hits = 0
+
+    def put(self, key, result):
+        self.owner.setdefault(key, self.run)
+        super().put(key, result)
+
+    def get(self, key):
+        value = super().get(key)
+        if value is not None and self.owner.get(key) != self.run:
+            self.cross_hits += 1
+        return value
+
+
+class TestRowCacheShared:
+    def test_regimes_read_each_others_rows(self):
+        """A single-slot run with outages passes a real availability mask,
+        so its row keys can equal a multi-slot run's.  Both regimes store
+        one value shape, so sharing a cache, in either order, changes
+        nothing."""
+        scheme = CircularConversion(8, 1, 1)
+        plan = FaultPlan(
+            outages=tuple(
+                ChannelOutage(o, w, 0, 10_000)
+                for o, w in ((0, 2), (1, 5), (2, 7), (3, 0))
+            )
+        )
+
+        def sim(regime, cache):
+            durations = (
+                DeterministicDuration(1)
+                if regime == "single"
+                else DeterministicDuration(2)
+            )
+            traffic = BernoulliTraffic(4, 8, 0.3, durations=durations)
+            return FastPacketSimulator(
+                4, scheme, traffic, seed=5, cache=cache, faults=plan
+            )
+
+        alone = {
+            regime: sim(regime, False).run(150).summary()
+            for regime in ("single", "multi")
+        }
+        for order in (("multi", "single"), ("single", "multi")):
+            cache = _OwnerTrackingCache()
+            for regime in order:
+                cache.run = regime
+                assert sim(regime, cache).run(150).summary() == alone[regime]
+            assert cache.cross_hits > 0, order

@@ -121,6 +121,82 @@ class TestCrossBackendIdentity:
         assert calls == [8]  # 8 > 7: vectorized, scalar sweep not called
 
 
+def _reaches(k: int) -> list[tuple[int, int]]:
+    """Reaches for one ``k``: PERF-D's, one-sided, none, and e+f+1 = k."""
+    last = k - 1
+    return [(1, 1), (0, 3), (3, 0), (0, 0), (last // 2, last - last // 2),
+            (0, last), (last, 0)]
+
+
+def _assert_bfa_rows(req, avail):
+    """bfa_scalar and the batch entry point == bfa_fast, row by row, at
+    every reach of ``_reaches``."""
+    k = req.shape[1]
+    for e, f in _reaches(k):
+        expected = _bfa_oracle(req, avail, e, f).tolist()
+        got = (
+            kernels.bfa_scalar(req, avail, e, f).tolist(),
+            batch_break_first_available(req, avail, e, f).tolist(),
+        )
+        for rows in got:
+            for m, (row, want) in enumerate(zip(rows, expected)):
+                assert row == want, (e, f, req[m].tolist(), avail[m].tolist())
+
+
+class TestBreakFirstAvailableShapes:
+    """The row shapes the random suite above seldom draws: whole bands
+    free (every single-slot simulator row), one free channel, k past 8,
+    the widest and one-sided reaches, and PERF-D's own slots."""
+
+    @pytest.mark.parametrize("k", [16, 17, 32])
+    def test_all_free_rows(self, k):
+        rng = np.random.default_rng(k)
+        avail = np.ones((48, k), dtype=bool)
+        for high in (2, 3, 6):
+            req = rng.integers(0, high, size=(48, k)).astype(np.int64)
+            _assert_bfa_rows(req, avail)
+            for e, f in _reaches(k):
+                assert (
+                    batch_break_first_available(req, None, e, f).tolist()
+                    == _bfa_oracle(req, avail, e, f).tolist()
+                )
+
+    @pytest.mark.parametrize("k", [16, 17, 32])
+    def test_single_free_channel_rows(self, k):
+        rng = np.random.default_rng(100 + k)
+        req = rng.integers(0, 3, size=(2 * k, k)).astype(np.int64)
+        avail = np.zeros((2 * k, k), dtype=bool)
+        avail[np.arange(2 * k), np.arange(2 * k) % k] = True
+        _assert_bfa_rows(req, avail)
+
+    @pytest.mark.parametrize("k", [16, 17, 32])
+    def test_mostly_occupied_and_sparse_rows(self, k):
+        rng = np.random.default_rng(200 + k)
+        req = (rng.random((64, k)) < 0.3).astype(np.int64)
+        req *= rng.integers(1, 4, size=(64, k))
+        avail = rng.random((64, k)) > 0.8
+        _assert_bfa_rows(req, avail)
+
+    def test_perfd_slots(self):
+        """200 slots of PERF-D arrivals (N=16, k=16, e=f=1, load 0.9)."""
+        from repro.sim.traffic import BernoulliTraffic
+        from repro.util.rng import spawn_rngs
+
+        traffic = BernoulliTraffic(16, 16, 0.9)
+        rng = spawn_rngs(0, 2)[0]
+        avail = np.ones((16, 16), dtype=bool)
+        for slot in range(200):
+            batch = traffic.arrivals_batch(slot, rng)
+            req = np.zeros((16, 16), dtype=np.int64)
+            np.add.at(req, (batch.output_fiber, batch.wavelength), 1)
+            expected = _bfa_oracle(req, avail, 1, 1).tolist()
+            assert kernels.bfa_scalar(req, avail, 1, 1).tolist() == expected
+            assert (
+                batch_break_first_available(req, None, 1, 1).tolist()
+                == expected
+            )
+
+
 class TestReachValidation:
     """The per-row schedulers reject a negative reach, as the batch entry
     points do, instead of granting outside the conversion window."""

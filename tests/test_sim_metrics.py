@@ -93,6 +93,43 @@ class TestMetricsCollector:
                 busy_channels=1,
             )
 
+    def test_per_input_and_duration_tallies(self):
+        m = MetricsCollector(3, 4)
+        for _ in range(2):
+            m.record_slot(
+                offered=5,
+                blocked_source=0,
+                submitted=5,
+                granted_inputs=[2, 0, 2],
+                granted_durations=[3, 1, 3.0],
+                submitted_inputs=np.array([2, 0, 2, 1, 2]),
+                busy_channels=3,
+                granted_priorities=[1, 0, 1],
+                submitted_priorities=[1, 0, 1, 0, 1],
+            )
+        assert m.granted_by_input.tolist() == [2, 0, 4]
+        assert m.submitted_by_input.tolist() == [2, 2, 6]
+        assert m.duration_histogram() == {1: 2, 3: 4}
+        assert all(type(d) is int for d in m.granted_by_duration)
+        assert m.granted_by_class == {1: 4, 0: 2}
+        assert m.submitted_by_class == {1: 6, 0: 4}
+
+    @pytest.mark.parametrize("field", ["granted_inputs", "submitted_inputs"])
+    def test_out_of_range_fiber_raises(self, field):
+        m = MetricsCollector(2, 4)
+        slot = dict(
+            offered=1,
+            blocked_source=0,
+            submitted=1,
+            granted_inputs=[0],
+            granted_durations=[1],
+            submitted_inputs=[0],
+            busy_channels=1,
+        )
+        slot[field] = [2]
+        with pytest.raises(IndexError):
+            m.record_slot(**slot)
+
     def test_utilization(self):
         m = MetricsCollector(1, 4)  # capacity 4 per slot
         self._record(m, granted=2, submitted=2, offered=2)
