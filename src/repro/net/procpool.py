@@ -3,13 +3,19 @@
 Each worker process owns the shards the consistent-hash ring places on
 it (:mod:`repro.net.placement`) as :class:`~repro.service.shard.ShardWorker`
 objects — the same shard class the in-process service holds — each with
-its ``busy[]`` channel clock, the scheduler, and one write-ahead journal
-in the worker's **own directory**
-(``<journal_dir>/worker-<i>/shard-<o>.wal``, or in memory without a
-journal directory), so two processes never share a file.  A tick is the
+its ``busy[]`` channel clock and the scheduler.  The worker keeps their
+journals and snapshots in one
+:class:`~repro.service.durability.DurabilityManager` with the default
+:class:`~repro.service.durability.DurabilityConfig`, over the worker's
+**own directory** (``<journal_dir>/worker-<i>/shard-NNNN.wal`` and
+``shard-NNNN.tick-*.snap``, the in-process file layout; in memory without
+a journal directory), so two processes never share a file.  A tick is the
 same :func:`~repro.service.shard.tick_shards` call the in-process service
-makes; the worker adds only redelivery, missed-slot catch-up and the
-policy-slice hand-off around it.
+makes, and each shard snapshots itself and compacts its journal every
+``snapshot_interval`` slots
+(:meth:`~repro.service.shard.ShardWorker.advance`), as in process; the
+worker adds only redelivery, missed-slot catch-up and the policy-slice
+hand-off around it.
 
 The parent drives workers over ``multiprocessing`` pipes with a tiny
 request/response protocol (tuples, one in flight per worker).  The
@@ -22,16 +28,22 @@ PR 5, extended across the process boundary:
   uncommitted GRANTs of the in-flight tick;
 * worker start-up **strips** any records after the last ADVANCE (the
   write-ahead of a tick the parent never saw complete), rewrites the
-  journal, and replays the rest to rebuild ``busy[]`` exactly
-  (:meth:`~repro.service.shard.ShardWorker.resume`);
+  journal, and rebuilds ``busy[]`` exactly from the latest snapshot plus
+  the records since (:meth:`~repro.service.shard.ShardWorker.resume`);
 * a tick the worker already completed (its slot is behind the recovered
   clock: it died after advancing, before replying) is **run again** —
-  the shard drops that slot's records, replays the rest
+  the shard drops that slot's records and any snapshot taken after its
+  start, rebuilds from the latest snapshot at or before it
   (:meth:`~repro.service.shard.ShardWorker.rewind`), and schedules from
   the same start-of-slot ``busy[]`` and the same policy slice, so parent
   retries return bit-identical grants;
 * a shard whose scheduling crashed is rewound the same way, so only that
   tick's requests are lost and its clock lives on in the worker.
+
+Start-up, both rewinds and a migration adopt are one rebuild,
+:meth:`~repro.service.durability.DurabilityManager.recover`; a shard's
+journal holds at most the records since the snapshot before its latest,
+so a respawn reads a bounded journal however long the worker ran.
 
 Workers hold no grant-policy state between ticks.  The parent's service
 front owns the live policy and sends each contended shard's slice
@@ -53,13 +65,6 @@ that dies before ``ready``, or misses the handshake budget, raises
 failing constructor first kills and reaps every worker it started and
 shuts its executor down.  Nothing a worker imports loads scipy, so its
 cold start pays for NumPy and this package only.
-
-Known defect: worker shards never compact their journals.  Nothing on
-the worker side snapshots or calls ``ShardJournal.compact``, so each
-shard's journal grows by one ADVANCE record per slot, idle or not, and
-every respawn or rewind re-decodes the whole history.  The planned fix
-is one rebuild path shared by recovery, respawn and migration (ROADMAP
-item 8); see docs/ROBUSTNESS.md, "Snapshots".
 """
 
 from __future__ import annotations
@@ -74,20 +79,18 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.distributed import SlotRequest
 from repro.errors import (
+    DurabilityError,
     InvalidParameterError,
     MigrationError,
     ShardDownError,
     WorkerProcessError,
 )
 from repro.net.placement import HashRing
-from repro.service.journal import (
-    FAULT_CRASH,
-    FileJournal,
-    MemoryJournal,
-    ShardJournal,
-)
+from repro.service.durability import DurabilityConfig, DurabilityManager
+from repro.service.journal import FAULT_CRASH
 from repro.service.resharding import HandoffPayload
 from repro.service.shard import ShardWorker, tick_shards
+from repro.service.snapshot import decode_snapshot, encode_snapshot
 from repro.service.telemetry import Telemetry
 from repro.util.validation import check_positive_int
 
@@ -115,10 +118,6 @@ POISON_STALL = "stall"
 # -- worker process ----------------------------------------------------------
 
 
-def _journal_path(journal_dir: str, worker_id: int, o: int) -> Path:
-    return Path(journal_dir) / f"worker-{worker_id}" / f"shard-{o}.wal"
-
-
 def worker_main(
     conn,
     worker_id: int,
@@ -131,21 +130,24 @@ def worker_main(
     """Entry point of one shard worker process (module-level: spawn picks
     it up by reference).  Serves ops off ``conn`` until ``stop`` or EOF."""
     telemetry = Telemetry()
+    # One durability manager for the shards this worker owns, over its
+    # own directory: the in-process service's file layout, default cadence.
+    durability = DurabilityManager(
+        DurabilityConfig()
+        if journal_dir is None
+        else DurabilityConfig(
+            backend="file",
+            directory=Path(journal_dir) / f"worker-{worker_id}",
+        ),
+        0,
+        scheme.k,
+    )
 
-    def open_shard(o: int, records=None) -> ShardWorker:
-        # The same shard class as the in-process service, over this
-        # worker's own journal; ``records`` replaces the journal first
-        # (an adopted handoff).
-        if journal_dir is None:
-            journal = ShardJournal(MemoryJournal())
-        else:
-            path = _journal_path(journal_dir, worker_id, o)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            journal = ShardJournal(FileJournal(path))
-        if records is not None:
-            journal.rewrite_records(records)
+    def open_shard(o: int) -> ShardWorker:
+        # The same shard class as the in-process service, rebuilt from
+        # the latest snapshot and journal this worker holds for it.
         shard = ShardWorker(o, scheme, scheduler, policy, None, telemetry)
-        shard.journal = journal
+        shard.attach(durability)
         shard.resume()
         return shard
 
@@ -231,12 +233,14 @@ def worker_main(
                     ("error", f"worker {worker_id} does not own shard {o}")
                 )
                 continue
+            snapshot = durability.store.latest(o)
             payload = HandoffPayload.from_records(
                 o,
                 scheme.k,
                 shard.next_tick,
                 shard.busy_snapshot(),
                 shard.journal.records(),
+                None if snapshot is None else encode_snapshot(snapshot),
             )
             conn.send(("handoff", payload.encode()))
         elif op == "adopt_shard":
@@ -248,31 +252,28 @@ def worker_main(
                         f"payload is for shard {payload.shard}, not {o}"
                     )
                 records = payload.records()
-            except MigrationError as exc:
+                snapshot = (
+                    None
+                    if payload.snapshot is None
+                    else decode_snapshot(payload.snapshot)
+                )
+            except (MigrationError, DurabilityError) as exc:
                 conn.send(("error", f"adopt_shard {o}: {exc}"))
                 continue
-            # Idempotent: a retried adopt replaces the previous replica.
-            old = shards.pop(o, None)
-            if old is not None:
-                old.journal.close()
-            shard = shards[o] = open_shard(o, records)
+            # Idempotent: a retried adopt replaces the previous replica
+            # (its journal and snapshots included).
+            shards.pop(o, None)
+            durability.adopt(o, snapshot, records)
+            shard = shards[o] = open_shard(o)
             if poison == POISON_AFTER_ADOPT:
                 os._exit(1)  # died with the replica installed, unacked
             conn.send(("adopted", (shard.next_tick, shard.busy_snapshot())))
         elif op == "release_shard":
-            # Idempotent cleanup: safe on a worker that never owned (or
-            # already released) the shard.
+            # Idempotent cleanup of the shard's journal and snapshots:
+            # safe on a worker that never owned (or already released) it.
             o = msg[1]
-            shard = shards.pop(o, None)
-            if shard is not None:
-                shard.journal.close()
-            if journal_dir is not None:
-                try:
-                    _journal_path(journal_dir, worker_id, o).unlink(
-                        missing_ok=True
-                    )
-                except OSError:
-                    pass
+            shards.pop(o, None)
+            durability.release(o)
             conn.send(("ok",))
         elif op == "busy":
             conn.send(
@@ -284,8 +285,7 @@ def worker_main(
                 stall_s = float(msg[2]) if len(msg) > 2 else 60.0
             conn.send(("ok",))
         elif op == "stop":
-            for s in shards.values():
-                s.journal.close()
+            durability.close()
             conn.send(("ok",))
             break
         else:

@@ -26,13 +26,15 @@ grant: the slot-by-slot equivalence gate against
 What the parent keeps in-process: queues (requests not yet drained),
 futures, dedup, admission, and the live grant policy.  What each worker
 owns: its shards' ``busy[]`` clocks and their write-ahead journals (its
-own directory).  Every policy keeps its state per output fiber, so the
+own directory, snapshotted and compacted like the in-process
+journals).  Every policy keeps its state per output fiber, so the
 parent sends each contended shard's slice with its ``run_tick`` row and
 absorbs the slice the worker hands back; workers hold no policy state
 between ticks.  A killed worker is respawned by the pool, rebuilds
-``busy[]`` by journal replay, and the in-flight tick is re-delivered with
-the same slices — a tick the dead worker had already completed is run
-again from the same inputs, so its grants come out bit-identical.
+``busy[]`` from each shard's latest snapshot plus its journal since, and
+the in-flight tick is re-delivered with the same slices — a tick the dead
+worker had already completed is run again from the same inputs, so its
+grants come out bit-identical.
 
 The shard→worker placement is **live**: the migration engine
 (:mod:`repro.service.resharding`, surfaced here as
@@ -240,7 +242,8 @@ class ProcessShardedService(ServiceFront):
         boundary itself).  Blocks until the handoff verifies; the
         placement flip is atomic, so the next tick routes the shard to
         its new owner, which rebuilt its ``busy[]`` from the transferred
-        journal.  The shard's policy slice never moves: the front owns it.
+        snapshot and journal.  The shard's policy slice never moves: the
+        front owns it.
         """
         return self._migrator.migrate(
             shard, destination, crashpoints=crashpoints

@@ -2,8 +2,10 @@
 
 :class:`DurabilityManager` owns one write-ahead journal
 (:mod:`repro.service.journal`) and one snapshot store
-(:mod:`repro.service.snapshot`) per shard and implements the recovery
-contract the kill-at-every-tick test gates on
+(:mod:`repro.service.snapshot`) for the shards of one placement: the
+in-process service holds one for all of its shards, and every worker
+process of the multi-process service holds one for the shards it owns.
+It implements the recovery contract the kill-at-every-tick test gates on
 (``tests/test_durability.py``):
 
     load the latest valid snapshot, replay every journal record from the
@@ -18,10 +20,14 @@ the optical connections ``busy[]`` tracks live in the interconnect, so the
 physical clock keeps ticking while a worker is dead, and recovery is pure
 redo with no aging formula.
 
-The manager never touches worker objects (symmetry with
-:class:`~repro.service.supervisor.ShardSupervisor`): the server journals
-events, asks :meth:`DurabilityManager.maybe_snapshot` at tick boundaries,
-and applies :meth:`DurabilityManager.recover`'s result to a fresh worker.
+The shard drives the cadence: :meth:`ShardWorker.advance
+<repro.service.shard.ShardWorker.advance>` asks :meth:`due_snapshot` and
+calls :meth:`take_snapshot`.  Every rebuild is one call,
+:meth:`DurabilityManager.recover` — the latest snapshot at or before a
+target tick plus the journal records since — whether it serves an
+in-process restart, a worker start-up, a rewind or a migration adopt.
+The manager never touches worker objects: callers apply the
+:class:`RecoveredShardState` it returns.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro.errors import DurabilityError, InvalidParameterError
 from repro.service.journal import (
     FileJournal,
+    JournalBackend,
     JournalRecord,
     MemoryJournal,
     RecordType,
@@ -200,7 +207,14 @@ def replay_journal(
 
 
 class DurabilityManager:
-    """Per-shard journals + snapshot store + the recovery path."""
+    """One placement's shard journals + snapshot store + the rebuild path.
+
+    ``n_shards`` journals (shards ``0 .. n_shards - 1``) open at
+    construction; :meth:`journal` opens any other shard's on first use —
+    a worker process starts with none and opens the shards it owns.  With
+    the file backend every shard keeps ``shard-NNNN.wal`` and its
+    ``shard-NNNN.tick-*.snap`` files in ``config.directory``.
+    """
 
     def __init__(
         self,
@@ -211,23 +225,17 @@ class DurabilityManager:
     ) -> None:
         self.config = config
         self.k = k
-        if config.backend == "file":
-            directory = Path(config.directory)  # type: ignore[arg-type]
-            self._journals = [
-                ShardJournal(
-                    FileJournal(
-                        directory / f"shard-{o:04d}.wal", fsync=config.fsync
-                    ),
-                    telemetry,
-                )
-                for o in range(n_shards)
-            ]
-            self.store: SnapshotStore = FileSnapshotStore(directory)
-        else:
-            self._journals = [
-                ShardJournal(MemoryJournal(), telemetry) for _ in range(n_shards)
-            ]
-            self.store = MemorySnapshotStore()
+        self._telemetry = telemetry
+        self._journals: dict[int, ShardJournal] = {}
+        directory = config.directory if config.backend == "file" else None
+        self._directory = None if directory is None else Path(directory)
+        self.store: SnapshotStore = (
+            MemorySnapshotStore()
+            if self._directory is None
+            else FileSnapshotStore(self._directory)
+        )
+        for o in range(n_shards):
+            self.journal(o)
         if telemetry is not None:
             self._c_snapshots = telemetry.counter("durability.snapshots")
             self._c_recoveries = telemetry.counter("durability.recoveries")
@@ -241,7 +249,24 @@ class DurabilityManager:
             self._h_recovery = self._g_replay = None
 
     def journal(self, shard: int) -> ShardJournal:
-        return self._journals[shard]
+        """``shard``'s journal, opened (over any bytes already durable
+        for it) on first use."""
+        journal = self._journals.get(shard)
+        if journal is None:
+            if self._directory is None:
+                backend: JournalBackend = MemoryJournal()
+            else:
+                backend = FileJournal(
+                    self._wal_path(shard), fsync=self.config.fsync
+                )
+            journal = self._journals[shard] = ShardJournal(
+                backend, self._telemetry
+            )
+        return journal
+
+    def _wal_path(self, shard: int) -> Path:
+        assert self._directory is not None  # file backend only
+        return self._directory / f"shard-{shard:04d}.wal"
 
     # -- snapshots -----------------------------------------------------------
 
@@ -262,7 +287,13 @@ class DurabilityManager:
         policy_state: object | None,
     ) -> None:
         """Persist one shard's state entering ``entering_tick``, prune old
-        snapshots, and compact the journal up to the oldest retained one."""
+        snapshots, and compact the journal up to the oldest retained one.
+
+        The all-free state entering tick 0 counts as retained until
+        ``retain_snapshots`` real snapshots exist, so the journal always
+        reaches back to the snapshot *before* the latest: a rewind of the
+        slot that took the latest snapshot still finds its start state.
+        """
         self.store.save(
             ShardSnapshot(
                 shard,
@@ -273,27 +304,57 @@ class DurabilityManager:
             )
         )
         self.store.prune(shard, self.config.retain_snapshots)
-        journal = self._journals[shard]
+        journal = self.journal(shard)
         journal.snapshot_mark(entering_tick)
         retained = self.store.ticks(shard)
-        if retained:
+        if len(retained) >= self.config.retain_snapshots:
             journal.compact(retained[0])
         if self._c_snapshots is not None:
             self._c_snapshots.inc()
 
-    # -- recovery ------------------------------------------------------------
+    # -- rebuilds ------------------------------------------------------------
 
-    def recover(self, shard: int) -> RecoveredShardState:
+    def clock(self, shard: int) -> int:
+        """The tick ``shard``'s last complete slot left its clock entering:
+        the end of its journal's last ``ADVANCE``, or its latest snapshot's
+        tick if that is later, or 0.  Records at or past it are the
+        write-ahead of a slot that never completed."""
+        tick = 0
+        for rec in self.journal(shard).records():
+            if rec.type is RecordType.ADVANCE:
+                tick = rec.tick + (rec.values[0] if rec.values else 1)
+        retained = self.store.ticks(shard)
+        return max(tick, retained[-1]) if retained else tick
+
+    def recover(
+        self, shard: int, before_tick: int | None = None
+    ) -> RecoveredShardState:
         """Rebuild ``shard``'s state from durable bytes only.
+
+        The one rebuild path: the latest valid snapshot at or before
+        ``before_tick``, plus the journal records since.  With
+        ``before_tick`` the shard is *rewound* to the start of that slot:
+        journal records of ``before_tick`` onward are stripped and newer
+        snapshots are discarded, so the durable state and the rebuilt
+        state agree.  ``None`` keeps everything.
 
         Reads the snapshot store and re-decodes the journal's durable
         bytes (not the in-memory mirror), so the result is exactly what a
         restarted process would reconstruct — including tolerance of a
-        torn record at the journal tail.
+        torn record at the journal tail, which is cut off (the journal is
+        rewritten) so that later appends stay readable.
         """
         t0 = time.perf_counter()
+        journal = self.journal(shard)
+        records, torn = journal.reload()
+        kept = records
+        if before_tick is not None:
+            kept = [rec for rec in records if rec.tick < before_tick]
+            self.store.discard(shard, after=before_tick)
+        if torn or len(kept) != len(records):
+            journal.rewrite_records(kept)
+            records = kept
         snapshot = self.store.latest(shard)
-        records, torn = self._journals[shard].reload()
         busy, queue, tick, replayed = replay_journal(
             records, snapshot, self.k
         )
@@ -321,7 +382,33 @@ class DurabilityManager:
             torn_tail=torn,
         )
 
+    # -- hand-off between placements -----------------------------------------
+
+    def adopt(
+        self,
+        shard: int,
+        snapshot: ShardSnapshot | None,
+        records: Iterable[JournalRecord],
+    ) -> None:
+        """Replace whatever this manager holds for ``shard`` with an
+        exported ``snapshot`` and ``records`` (idempotent: a retried adopt
+        installs the same state again).  :meth:`recover` rebuilds it."""
+        self.release(shard)
+        if snapshot is not None:
+            self.store.save(snapshot)
+        self.journal(shard).rewrite_records(records)
+
+    def release(self, shard: int) -> None:
+        """Close ``shard``'s journal and delete its journal and snapshots
+        (idempotent; a no-op for a shard this manager never held)."""
+        journal = self._journals.pop(shard, None)
+        if journal is not None:
+            journal.close()
+        if self._directory is not None:
+            self._wal_path(shard).unlink(missing_ok=True)
+        self.store.discard(shard)
+
     def close(self) -> None:
-        for journal in self._journals:
+        for journal in self._journals.values():
             journal.close()
         self.store.close()

@@ -3,11 +3,13 @@
 The paper fixes each output fiber's scheduler in place; a production
 service must move shards between workers **while traffic flows**.  This
 module is that engine, built directly on the PR-5 durability substrate:
-a shard's complete worker-side state is its write-ahead journal (the
-grant policy lives in the service front, never with a shard owner), and
-replaying that journal is already proven bit-identical to never having crashed —
-so a migration is nothing more than handing the journal to a new owner
-and letting the same replay rebuild the same ``busy[]`` clocks.
+a shard's complete worker-side state is its latest snapshot plus its
+write-ahead journal since (the grant policy lives in the service front,
+never with a shard owner), and rebuilding from those is already proven
+bit-identical to never having crashed — so a migration is nothing more
+than handing both to a new owner and letting the same rebuild
+(:meth:`~repro.service.durability.DurabilityManager.recover`) produce
+the same ``busy[]`` clocks.
 
 The migration state machine, driven between ticks (the quiesce point —
 no tick is ever in flight when the engine runs)::
@@ -15,14 +17,14 @@ no tick is ever in flight when the engine runs)::
       QUIESCE          tick boundary reached; source still authoritative
         |
       EXPORT           source serializes shard → HandoffPayload
-        |                (journal records + busy/tick)
-      ADOPT            destination rewrites its journal from the payload,
-        |                replays it, reports the rebuilt (tick, busy[])
+        |                (snapshot + journal records + busy/tick)
+      ADOPT            destination installs the snapshot and journal,
+        |                rebuilds, reports the rebuilt (tick, busy[])
       [verify]         engine cross-checks replica == exported state
         |
       FLIP             placement map now names the destination (atomic:
         |                a dict write between ticks; next tick routes there)
-      RELEASE          source closes + deletes its copy
+      RELEASE          source closes + deletes its copy (.wal + .snap)
         |                (cleanup only — destination is authoritative)
       DONE
 
@@ -31,11 +33,11 @@ Every arrow is a crash point (:class:`repro.faults.CrashPoints` names
 **re-drivable from any of them**: before the flip the source never
 stopped being authoritative (a retry simply re-exports); after the flip
 the destination is authoritative and a retry only re-runs the idempotent
-release cleanup.  The journal travels whole, so the new owner rebuilds
-the same start-of-slot ``busy[]`` the old owner had, and a redelivered
-tick re-runs there exactly as it would have on the old owner — the
-redelivery contract of :mod:`repro.net.procpool`, preserved across the
-move.
+release cleanup.  Snapshot and journal travel whole, so the new owner
+rebuilds the same start-of-slot ``busy[]`` the old owner had, and a
+redelivered tick re-runs there exactly as it would have on the old owner
+— the redelivery contract of :mod:`repro.net.procpool`, preserved across
+the move.
 
 Simultaneous moves are planned as conflict-free **waves**
 (:func:`plan_waves`): within one wave no worker appears in two moves at
@@ -185,14 +187,16 @@ _U64 = struct.Struct("!Q")
 class HandoffPayload:
     """Everything a new owner needs to *become* the shard.
 
-    ``journal`` is the shard's complete write-ahead journal, encoded
-    record stream (:func:`repro.service.journal.encode_record` framing);
+    ``journal`` is the shard's write-ahead journal as its exporter holds
+    it, compacted to the oldest retained snapshot (encoded record stream,
+    :func:`repro.service.journal.encode_record` framing); ``snapshot`` is
+    the exporter's latest encoded
+    :class:`~repro.service.snapshot.ShardSnapshot`, ``None`` before the
+    shard's first one (its journal then still starts at tick 0).  The
+    adopter rebuilds from the two with the one rebuild path,
+    :meth:`~repro.service.durability.DurabilityManager.recover`;
     ``busy``/``next_tick`` are the exporter's live state, carried so the
-    adopter can prove its replay reconstructed the identical replica.
-    ``snapshot`` optionally carries an encoded
-    :class:`~repro.service.snapshot.ShardSnapshot` for journals that have
-    been compacted against one (the in-process durability path — worker
-    journals are never compacted and ship ``None``).
+    adopter can prove its rebuild reconstructed the identical replica.
     """
 
     shard: int

@@ -34,8 +34,9 @@ relies on):
    scheduling crashed is taken down (this module).
 4. **Resolve** futures, count breaker outcomes, record telemetry (the
    front).
-5. **Advance** every shard's channel clock, snapshot when due (this
-   module), and the input-side busy state (the front).
+5. **Advance** every shard's channel clock — each shard snapshots itself
+   when one is due (:meth:`ShardWorker.advance`; this module) — and the
+   input-side busy state (the front).
 
 Drive ticks yourself (:meth:`SchedulingService.tick`,
 :meth:`~SchedulingService.run_ticks` — deterministic, used by tests) or let
@@ -262,7 +263,7 @@ class SchedulingService(ServiceFront):
         )
         worker.next_tick = self._slot
         if self.durability is not None:
-            worker.journal = self.durability.journal(output_fiber)
+            worker.attach(self.durability)
         return worker
 
     def _restart_shard(self, output_fiber: int, slot: int) -> None:
@@ -370,27 +371,14 @@ class SchedulingService(ServiceFront):
         return outcomes
 
     def _end_tick(self, slot: int) -> None:
-        """Step 5: advance every shard's channel clock; snapshot when due."""
+        """Step 5: advance every shard's channel clock (each shard
+        snapshots itself when one is due)."""
         self._h_occupancy.observe(sum(s.occupancy for s in self.shards))
         for shard in self.shards:
             shard.advance(slot, defer=self._window_open)
             if self.durability is None and not shard.down:
                 self.supervisor.note_checkpoint(
                     shard.output_fiber, slot + 1, shard.busy_snapshot()
-                )
-        if self.durability is not None and self.durability.due_snapshot(
-            slot + 1
-        ):
-            policy_state = self.policy.export_state()
-            for shard in self.shards:
-                if shard.down:
-                    continue
-                self.durability.take_snapshot(
-                    shard.output_fiber,
-                    slot + 1,
-                    shard.busy_snapshot(),
-                    (request_tuple(p.request) for p in shard.queue),
-                    policy_state,
                 )
 
     def _close(self) -> None:

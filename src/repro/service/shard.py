@@ -10,8 +10,10 @@ natural service shard.  Each :class:`ShardWorker` owns
   remaining slots output channel ``b`` is held by a granted multi-slot
   connection (paper Section V non-disturb mode — exactly the
   :class:`~repro.sim.engine.SlottedSimulator` bookkeeping, per shard),
-* its write-ahead journal (``None`` with durability off) and, in process,
-  its bounded request queue (see :mod:`repro.service.queue`).
+* its write-ahead journal and snapshots, kept by its placement's
+  :class:`~repro.service.durability.DurabilityManager` (none with
+  durability off) and, in process, its bounded request queue (see
+  :mod:`repro.service.queue`).
 
 It is the shard of both placements: the in-process
 :class:`~repro.service.server.SchedulingService` and every worker process
@@ -40,11 +42,11 @@ from repro.core.distributed import (
 from repro.core.policies import GrantPolicy
 from repro.errors import ShardDownError, SimulationError
 from repro.graphs.conversion import ConversionScheme
-from repro.service.durability import replay_journal
-from repro.service.journal import RecordType, ShardJournal
+from repro.service.journal import ShardJournal, request_tuple
 from repro.types import ScheduleResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.durability import DurabilityManager
     from repro.service.queue import BoundedQueue
     from repro.service.telemetry import Telemetry
 
@@ -68,7 +70,8 @@ class ShardWorker:
         self.scheduler = scheduler
         self.policy = policy
         self.queue = queue  # None in a worker process
-        #: Installed by the placement; None = durability off.
+        #: Installed by :meth:`attach`; None = durability off.
+        self.durability: "DurabilityManager | None" = None
         self.journal: ShardJournal | None = None
         self.next_tick = 0  # the slot the clock enters next
         self._busy = [0] * scheme.k
@@ -142,30 +145,27 @@ class ShardWorker:
         self._crash_cause = None
         self._occupancy_gauge.set(self.occupancy)
 
-    # -- journal rebuilds (the worker process's recovery) --------------------
+    # -- durability ---------------------------------------------------------
+
+    def attach(self, durability: "DurabilityManager") -> None:
+        """Keep this shard's journal and snapshots in ``durability`` (its
+        placement's manager)."""
+        self.durability = durability
+        self.journal = durability.journal(self.output_fiber)
 
     def resume(self) -> None:
-        """Rebuild from the journal after a process start, stripping the
-        records after the last ADVANCE: the write-ahead of a tick the
-        parent never saw complete, which it will re-send."""
-        records, _torn = self.journal.reload()
-        last_advance = -1
-        for i, rec in enumerate(records):
-            if rec.type is RecordType.ADVANCE:
-                last_advance = i
-        self._rebuild(records, records[: last_advance + 1])
+        """Rebuild after a process start, stripping the records after the
+        last ADVANCE: the write-ahead of a tick the parent never saw
+        complete, which it will re-send."""
+        self.rewind(self.durability.clock(self.output_fiber))
 
     def rewind(self, slot: int) -> None:
-        """Drop the journal's records of ``slot`` onward and rebuild from
-        the rest: the shard is back up at the start of ``slot``."""
-        records, _torn = self.journal.reload()
-        self._rebuild(records, [rec for rec in records if rec.tick < slot])
-
-    def _rebuild(self, records: list, kept: list) -> None:
-        if len(kept) != len(records):
-            self.journal.rewrite_records(kept)
-        busy, _queue, self.next_tick, _n = replay_journal(kept, None, self.k)
-        self.restore(busy)
+        """Rebuild from the latest snapshot at or before ``slot`` plus the
+        journal records since, dropping everything of ``slot`` onward: the
+        shard is back up at the start of ``slot``."""
+        state = self.durability.recover(self.output_fiber, before_tick=slot)
+        self.next_tick = state.tick
+        self.restore(state.busy)
 
     def _check_up(self) -> None:
         if self.down:
@@ -236,7 +236,14 @@ class ShardWorker:
         :meth:`~repro.service.journal.ShardJournal.defer_advance`), then
         age ongoing connections by one slot.  A down shard's clock is
         journaled too — its connections live on in the interconnect —
-        which is what makes recovery pure replay with no aging."""
+        which is what makes recovery pure replay with no aging.
+
+        Every ``snapshot_interval`` slots an up shard then snapshots its
+        state entering ``slot + 1`` — ``busy[]``, its queue and its own
+        policy slice — and its journal is compacted
+        (:meth:`~repro.service.durability.DurabilityManager.take_snapshot`).
+        In a worker process the queue is the front's and the slice is
+        ``None``: the worker holds no policy state between ticks."""
         journal = self.journal
         if journal is not None:
             if defer:
@@ -244,9 +251,22 @@ class ShardWorker:
             else:
                 journal.advance(slot)
         self.next_tick = slot + 1
-        if not self.down:
-            self._busy = [b - 1 if b > 0 else 0 for b in self._busy]
-            self._occupancy_gauge.set(self.occupancy)
+        if self.down:
+            return
+        self._busy = [b - 1 if b > 0 else 0 for b in self._busy]
+        self._occupancy_gauge.set(self.occupancy)
+        durability = self.durability
+        if durability is not None and durability.due_snapshot(slot + 1):
+            o = self.output_fiber
+            durability.take_snapshot(
+                o,
+                slot + 1,
+                self._busy,
+                ()
+                if self.queue is None
+                else [request_tuple(p.request) for p in self.queue],
+                self.policy.export_output_state(o),
+            )
 
 
 def tick_shards(

@@ -145,6 +145,11 @@ class SnapshotStore(ABC):
     def prune(self, shard: int, retain: int) -> None:
         """Keep only the newest ``retain`` snapshots for ``shard``."""
 
+    @abstractmethod
+    def discard(self, shard: int, after: int | None = None) -> None:
+        """Delete ``shard``'s snapshots taken after tick ``after`` (every
+        one of them when ``None``)."""
+
     def close(self) -> None:  # pragma: no cover - trivial default
         pass
 
@@ -175,6 +180,14 @@ class MemorySnapshotStore(SnapshotStore):
         blobs = self._blobs.get(shard)
         if blobs is not None and len(blobs) > retain:
             del blobs[: len(blobs) - retain]
+
+    def discard(self, shard: int, after: int | None = None) -> None:
+        if after is None:
+            self._blobs.pop(shard, None)
+        elif shard in self._blobs:
+            self._blobs[shard] = [
+                entry for entry in self._blobs[shard] if entry[0] <= after
+            ]
 
 
 class FileSnapshotStore(SnapshotStore):
@@ -209,14 +222,18 @@ class FileSnapshotStore(SnapshotStore):
                 continue
         return None
 
-    def ticks(self, shard: int) -> tuple[int, ...]:
-        ticks = []
+    def _ticked(self, shard: int) -> list[tuple[int, Path]]:
+        """``(tick, path)`` of every snapshot file whose name parses."""
+        out = []
         for path in self._paths(shard):
             try:
-                ticks.append(int(path.stem.rsplit("tick-", 1)[1]))
+                out.append((int(path.stem.rsplit("tick-", 1)[1]), path))
             except (IndexError, ValueError):
                 continue
-        return tuple(ticks)
+        return out
+
+    def ticks(self, shard: int) -> tuple[int, ...]:
+        return tuple(tick for tick, _path in self._ticked(shard))
 
     def prune(self, shard: int, retain: int) -> None:
         if retain < 0:
@@ -224,3 +241,8 @@ class FileSnapshotStore(SnapshotStore):
         paths = self._paths(shard)
         for path in paths[: max(0, len(paths) - retain)]:
             path.unlink(missing_ok=True)
+
+    def discard(self, shard: int, after: int | None = None) -> None:
+        for tick, path in self._ticked(shard):
+            if after is None or tick > after:
+                path.unlink(missing_ok=True)

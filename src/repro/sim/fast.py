@@ -411,8 +411,9 @@ class FastPacketSimulator:
         """Run ``warmup + n_slots`` slots; metrics cover the last ``n_slots``.
 
         In the single-slot regime, per-input-fiber grant attribution is
-        policy-dependent and not tracked (fairness reads as neutral 1.0); in
-        the multi-slot regime attribution is exact.
+        policy-dependent and not tracked: ``granted_by_input`` stays zero
+        and fairness reads as neutral 1.0.  In the multi-slot regime
+        attribution is exact.
         """
         check_positive_int(n_slots, "n_slots")
         check_nonnegative_int(warmup, "warmup")
@@ -427,7 +428,7 @@ class FastPacketSimulator:
                     offered=c["offered"],
                     blocked_source=0,
                     submitted=c["submitted"],
-                    granted_inputs=[0] * granted,
+                    granted_inputs=None,
                     granted_durations=[1] * granted,
                     submitted_inputs=[],
                     busy_channels=c["busy_channels"],

@@ -233,6 +233,25 @@ class TestVectorizedMode:
         assert 0.0 <= m.loss_probability <= 1.0
         assert m.input_fairness == 1.0  # attribution intentionally neutral
 
+    def test_single_slot_grants_are_not_attributed(self):
+        """The single-slot regime does not know which input won a grant,
+        so it credits none: ``granted_by_input`` stays zero while the
+        totals, the grant series and the duration histogram count every
+        grant as one unit-duration connection."""
+        m = FastPacketSimulator(
+            4,
+            CircularConversion(8, 1, 1),
+            BernoulliTraffic(4, 8, 0.9),
+            seed=0,
+        ).run(200).metrics
+        assert m.granted > 0
+        assert m.granted_by_input.tolist() == [0, 0, 0, 0]
+        assert m.submitted_by_input.tolist() == [0, 0, 0, 0]
+        assert m.granted_series().sum() == m.granted
+        assert m.granted_slots == m.granted
+        assert m.duration_histogram() == {1: m.granted}
+        assert m.input_fairness == 1.0
+
 
 class _OwnerTrackingCache(ScheduleCache):
     """Counts hits on entries that another run put."""

@@ -6,6 +6,7 @@ costs real time — the tests share stacks where the scenarios allow it.
 
 import asyncio
 import multiprocessing
+import random
 import shutil
 
 import pytest
@@ -16,7 +17,7 @@ from repro.core.distributed import SlotRequest
 from repro.core.first_available import FirstAvailableScheduler
 from repro.core.policies import FixedPriorityPolicy, RandomPolicy
 from repro.errors import InvalidParameterError, WorkerProcessError
-from repro.graphs.conversion import NonCircularConversion
+from repro.graphs.conversion import CircularConversion, NonCircularConversion
 from repro.net.procpool import (
     POISON_AFTER_GRANT,
     POISON_BEFORE_REPLY,
@@ -25,8 +26,11 @@ from repro.net.procpool import (
 )
 from repro.net.procservice import ProcessShardedService
 from repro.service.breaker import BreakerConfig
+from repro.service.durability import DurabilityConfig
+from repro.service.journal import JournalRecord, RecordType, encode_record
 from repro.service.queue import OverflowPolicy
 from repro.service.server import Rejected, RejectReason, ServiceGrant
+from tests.test_tick_isolation import OutOfWindowBFA
 
 N_FIBERS, K = 4, 3
 
@@ -220,6 +224,32 @@ class TestCrashRecovery:
                 # And ticking still works (clock keeps decaying).
                 await service.tick()
                 assert max(service.worker_busy(0)) == 3
+            finally:
+                await service.stop()
+
+        run(go())
+
+    def test_torn_tail_is_cut_before_new_appends(self, tmp_path):
+        """A record torn by the kill is cut off at respawn, so the records
+        the respawned worker appends after it stay readable at the next
+        respawn."""
+
+        async def go():
+            service = _service(journal_dir=tmp_path)
+            try:
+                service.submit_nowait(SlotRequest(0, 0, 0, duration=5))
+                await service.tick()
+                victim = service.placement[0]
+                service.kill_worker(victim)
+                wal = tmp_path / f"worker-{victim}" / "shard-0000.wal"
+                with open(wal, "ab") as fh:
+                    fh.write(b"\x00\x00\x00\x30torn")
+                await service.tick()
+                await service.tick()
+                busy = service.worker_busy(0)
+                assert max(busy) == 2
+                service.kill_worker(victim)
+                assert service.worker_busy(0) == busy
             finally:
                 await service.stop()
 
@@ -488,3 +518,118 @@ class TestUnresponsiveWorker:
                 n_workers=1,
                 unresponsive_timeout=0.0,
             )
+
+
+class TestWorkerSnapshots:
+    """Worker shards snapshot and compact like in-process ones, and every
+    rebuild — respawn, redelivery rewind, crash rewind — starts from the
+    latest snapshot at or before its target tick."""
+
+    INTERVAL = DurabilityConfig().snapshot_interval
+
+    def test_idle_journal_stays_bounded(self, tmp_path):
+        """Each shard's journal bytes after 2000 idle slots stay within
+        one snapshot interval's records of its bytes after 500."""
+        one_interval = self.INTERVAL * len(
+            encode_record(JournalRecord(RecordType.ADVANCE, 0))
+        ) + len(encode_record(JournalRecord(RecordType.SNAPSHOT, 0, (0,))))
+
+        def sizes():
+            wals = sorted((tmp_path / "worker-0").glob("shard-*.wal"))
+            assert len(wals) == 2
+            return [wal.stat().st_size for wal in wals]
+
+        async def go():
+            service = ProcessShardedService(
+                2,
+                NonCircularConversion(K, 1, 1),
+                FirstAvailableScheduler(),
+                n_workers=1,
+                journal_dir=tmp_path,
+            )
+            try:
+                await service.run_ticks(500)
+                at_500 = sizes()
+                await service.run_ticks(1500)
+                return at_500, sizes()
+            finally:
+                await service.stop()
+
+        at_500, at_2000 = run(go())
+        for before, after in zip(at_500, at_2000):
+            assert abs(after - before) <= one_interval, (at_500, at_2000)
+
+    @staticmethod
+    def _drill(tmp_path, poison):
+        """Three-plus intervals of seeded multi-slot traffic on one worker.
+
+        At each slot whose advance takes a snapshot (``interval − 1`` and
+        ``2·interval − 1``) shard 1's scheduler crashes (a λ5 request
+        under :class:`OutOfWindowBFA`) and, with ``poison``, the worker
+        dies there too.  Returns every outcome, every shard's ``busy[]``
+        after every slot, and the respawn count."""
+        interval = TestWorkerSnapshots.INTERVAL
+        snapshot_slots = (interval - 1, 2 * interval - 1)
+        rng = random.Random(31)
+        schedule = []
+        for slot in range(3 * interval + 4):
+            requests = [
+                SlotRequest(i, rng.randrange(4), rng.randrange(3),
+                            duration=rng.randint(1, 6))
+                for i in range(3)
+                if rng.random() < 0.7
+            ]
+            if slot in snapshot_slots:
+                requests.append(SlotRequest(0, 5, 1))  # crashes shard 1
+                requests.append(SlotRequest(2, 4, 0))  # a grant to lose
+            schedule.append(requests)
+
+        async def go():
+            service = ProcessShardedService(
+                3,
+                CircularConversion(6, 1, 1),
+                OutOfWindowBFA(),
+                n_workers=1,
+                journal_dir=tmp_path,
+            )
+            try:
+                futures, busy = [], []
+                for slot, requests in enumerate(schedule):
+                    if poison is not None and slot in snapshot_slots:
+                        service.pool.call(0, "poison", poison)
+                    futures += [service.submit_nowait(r) for r in requests]
+                    await service.tick()
+                    busy.append(service.pool.call(0, "busy"))
+                outcomes = [
+                    (o.slot, o.channel)
+                    if isinstance(o, ServiceGrant)
+                    else (o.slot, o.reason)
+                    for o in [await f for f in futures]
+                ]
+                return outcomes, busy, service.pool._workers[0].respawns
+            finally:
+                await service.stop()
+
+        return run(go())
+
+    @pytest.mark.parametrize(
+        "poison", [POISON_BEFORE_REPLY, POISON_AFTER_GRANT]
+    )
+    def test_rewind_across_a_snapshot_boundary(self, tmp_path, poison):
+        outcomes, busy, respawns = self._drill(tmp_path / "clean", None)
+        assert respawns == 0
+        snapshot_slots = {self.INTERVAL - 1, 2 * self.INTERVAL - 1}
+        down = {s for s, why in outcomes if why is RejectReason.SHARD_DOWN}
+        assert down == snapshot_slots
+        # Both poisons need a grant at each poisoned slot to lose.
+        granted = {s for s, channel in outcomes if isinstance(channel, int)}
+        assert snapshot_slots <= granted
+
+        drilled = self._drill(tmp_path / "poisoned", poison)
+        assert drilled == (outcomes, busy, 2)
+        snaps = sorted(
+            (tmp_path / "poisoned" / "worker-0").glob("shard-0001.tick-*.snap")
+        )
+        assert [p.name[-16:-5] for p in snaps] == [
+            f"{2 * self.INTERVAL:011d}", f"{3 * self.INTERVAL:011d}"
+        ]

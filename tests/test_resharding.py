@@ -32,12 +32,14 @@ from repro.faults import CrashPoints
 from repro.graphs.conversion import NonCircularConversion
 from repro.net.procpool import POISON_AFTER_ADOPT
 from repro.net.procservice import ProcessShardedService
+from repro.service.durability import DurabilityConfig
 from repro.service.journal import JournalRecord, RecordType
 from repro.service.resharding import (
     MIGRATION_PHASES,
     HandoffPayload,
     ShardMove,
 )
+from repro.service.snapshot import decode_snapshot
 from repro.service.server import ServiceGrant
 
 N_FIBERS, K = 4, 3
@@ -247,6 +249,63 @@ class TestLiveMigration:
                     o for o in range(N_FIBERS) if before[o] != target[o]
                 }
                 await service.tick()
+            finally:
+                await service.stop()
+
+        run(go())
+
+    def test_compacted_shard_migrates_with_its_snapshot(self, tmp_path):
+        """After two snapshot intervals a worker shard's journal is
+        compacted against its snapshots, so its export carries the latest
+        snapshot; adopt rebuilds the identical ``(next_tick, busy)`` from
+        it, and release deletes the source's ``.wal`` and ``.snap``
+        files."""
+        interval = DurabilityConfig().snapshot_interval
+        n_slots = 2 * interval + 3
+
+        async def go():
+            service = _service(journal_dir=tmp_path)
+            try:
+                for slot in range(n_slots):
+                    if slot % 5 == 0:
+                        service.submit_nowait(
+                            SlotRequest(0, slot % K, 0, duration=7)
+                        )
+                    await service.tick()
+                source = service.placement[0]
+                destination = 1 - source
+                blob = service.pool.call(source, "export_shard", 0)
+                payload = HandoffPayload.decode(blob)
+                snapshot = decode_snapshot(payload.snapshot)
+                assert snapshot.tick == 2 * interval
+                # Compacted to the oldest retained snapshot.
+                assert min(r.tick for r in payload.records()) == interval
+                assert payload.next_tick == n_slots
+                assert list(payload.busy) == service.worker_busy(0)
+                assert max(payload.busy) > 0
+
+                adopted = service.pool.call(
+                    destination, "adopt_shard", 0, blob
+                )
+                assert (adopted[0], tuple(adopted[1])) == (
+                    payload.next_tick,
+                    payload.busy,
+                )
+                report = service.migrate_shard(0, destination)
+                assert report.next_tick == n_slots
+                assert service.worker_busy(0) == list(payload.busy)
+
+                src = tmp_path / f"worker-{source}"
+                assert not (src / "shard-0000.wal").exists()
+                assert not list(src.glob("shard-0000.*"))
+                dst = tmp_path / f"worker-{destination}"
+                assert (dst / "shard-0000.wal").exists()
+                assert list(dst.glob("shard-0000.tick-*.snap"))
+                # The replica keeps ticking from the adopted clock.
+                await service.tick()
+                assert service.worker_busy(0) == [
+                    max(b - 1, 0) for b in payload.busy
+                ]
             finally:
                 await service.stop()
 

@@ -170,7 +170,7 @@ def test_process_service_isolates_the_faulty_shard(scheduler_cls, tmp_path):
     outcomes, crashes, placement = asyncio.run(go())
     journals = {}
     for o in range(N_FIBERS):
-        path = tmp_path / f"worker-{placement[o]}" / f"shard-{o}.wal"
+        path = tmp_path / f"worker-{placement[o]}" / f"shard-{o:04d}.wal"
         journal = ShardJournal(FileJournal(path))
         journals[o] = journal.reload()[0]
         journal.close()
