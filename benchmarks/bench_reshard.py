@@ -17,9 +17,10 @@ its two workers at a fixed cadence.  Two numbers come out:
 
 The headline (and the gated) figure is their ratio, **ticks stalled per
 move**: how many slots of scheduling work one live migration displaces.
-The handoff payload carries the shard's full journal, so the pause
-grows with history — the sweep reports payload bytes alongside so a
-regression in either shows up distinctly.
+The handoff (``DurabilityManager.export``) carries the shard's latest
+snapshot and its journal since the snapshot before it, so the pause is
+bounded by the snapshot interval, not by history — the sweep reports
+payload bytes alongside so a regression in either shows up distinctly.
 """
 
 from __future__ import annotations

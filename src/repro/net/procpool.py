@@ -79,7 +79,6 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.distributed import SlotRequest
 from repro.errors import (
-    DurabilityError,
     InvalidParameterError,
     MigrationError,
     ShardDownError,
@@ -88,9 +87,7 @@ from repro.errors import (
 from repro.net.placement import HashRing
 from repro.service.durability import DurabilityConfig, DurabilityManager
 from repro.service.journal import FAULT_CRASH
-from repro.service.resharding import HandoffPayload
 from repro.service.shard import ShardWorker, tick_shards
-from repro.service.snapshot import decode_snapshot, encode_snapshot
 from repro.service.telemetry import Telemetry
 from repro.util.validation import check_positive_int
 
@@ -233,41 +230,26 @@ def worker_main(
                     ("error", f"worker {worker_id} does not own shard {o}")
                 )
                 continue
-            snapshot = durability.store.latest(o)
-            payload = HandoffPayload.from_records(
-                o,
-                scheme.k,
-                shard.next_tick,
-                shard.busy_snapshot(),
-                shard.journal.records(),
-                None if snapshot is None else encode_snapshot(snapshot),
+            blob = durability.export(o)
+            conn.send(
+                ("handoff", (shard.next_tick, shard.busy_snapshot(), blob))
             )
-            conn.send(("handoff", payload.encode()))
         elif op == "adopt_shard":
+            # Idempotent: a retried adopt replaces the previous replica
+            # (its journal and snapshots included).  A handoff that fails
+            # its checks installs nothing.
             o, blob = msg[1], msg[2]
             try:
-                payload = HandoffPayload.decode(blob)
-                if payload.shard != o:
-                    raise MigrationError(
-                        f"payload is for shard {payload.shard}, not {o}"
-                    )
-                records = payload.records()
-                snapshot = (
-                    None
-                    if payload.snapshot is None
-                    else decode_snapshot(payload.snapshot)
-                )
-            except (MigrationError, DurabilityError) as exc:
+                adopted = durability.adopt(o, blob)
+            except MigrationError as exc:
                 conn.send(("error", f"adopt_shard {o}: {exc}"))
                 continue
-            # Idempotent: a retried adopt replaces the previous replica
-            # (its journal and snapshots included).
-            shards.pop(o, None)
-            durability.adopt(o, snapshot, records)
             shard = shards[o] = open_shard(o)
             if poison == POISON_AFTER_ADOPT:
                 os._exit(1)  # died with the replica installed, unacked
-            conn.send(("adopted", (shard.next_tick, shard.busy_snapshot())))
+            conn.send(
+                ("adopted", (shard.next_tick, shard.busy_snapshot(), adopted))
+            )
         elif op == "release_shard":
             # Idempotent cleanup of the shard's journal and snapshots:
             # safe on a worker that never owned (or already released) it.

@@ -66,7 +66,6 @@ from repro.service.queue import (
 )
 from repro.service.ratelimit import RateLimitConfig, TokenBucketLimiter
 from repro.service.resharding import (
-    HandoffPayload,
     MigrationReport,
     ShardMigrator,
     ShardMove,
@@ -108,7 +107,6 @@ __all__ = [
     "FileJournal",
     "FileSnapshotStore",
     "Gauge",
-    "HandoffPayload",
     "Histogram",
     "JournalRecord",
     "LoadGenerator",

@@ -26,6 +26,10 @@ calls :meth:`take_snapshot`.  Every rebuild is one call,
 :meth:`DurabilityManager.recover` — the latest snapshot at or before a
 target tick plus the journal records since — whether it serves an
 in-process restart, a worker start-up, a rewind or a migration adopt.
+A migration moves those same bytes: :meth:`DurabilityManager.export`
+frames a shard's latest snapshot and journal, and
+:meth:`DurabilityManager.adopt` checks and installs them on the new
+owner for :meth:`~DurabilityManager.recover` to rebuild.
 The manager never touches worker objects: callers apply the
 :class:`RecoveredShardState` it returns.
 """
@@ -39,7 +43,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.errors import DurabilityError, InvalidParameterError
+from repro.errors import (
+    DurabilityError,
+    InvalidParameterError,
+    MigrationError,
+)
 from repro.service.journal import (
     FileJournal,
     JournalBackend,
@@ -47,14 +55,18 @@ from repro.service.journal import (
     MemoryJournal,
     RecordType,
     ShardJournal,
+    decode_records,
 )
 from repro.service.snapshot import (
     FileSnapshotStore,
     MemorySnapshotStore,
     ShardSnapshot,
     SnapshotStore,
+    decode_snapshot,
+    encode_snapshot,
 )
 from repro.service.telemetry import exponential_buckets
+from repro.util.framing import FRAME_HEADER_SIZE, decode_frames, encode_frame
 from repro.util.validation import check_nonnegative_int, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -384,19 +396,68 @@ class DurabilityManager:
 
     # -- hand-off between placements -----------------------------------------
 
-    def adopt(
-        self,
-        shard: int,
-        snapshot: ShardSnapshot | None,
-        records: Iterable[JournalRecord],
-    ) -> None:
+    def export(self, shard: int) -> bytes:
+        """``shard``'s durable state as one migration handoff.
+
+        One :func:`~repro.util.framing.encode_frame` frame (length +
+        CRC32) around the bytes :meth:`recover` reads: the latest snapshot
+        in a frame of its own (empty when the shard has none), then the
+        journal's record frames.  :meth:`adopt` is the inverse."""
+        journal = self.journal(shard)
+        journal.flush_deferred()
+        snapshot = self.store.latest(shard)
+        head = b"" if snapshot is None else encode_snapshot(snapshot)
+        return encode_frame(encode_frame(head) + journal.backend.load())
+
+    def adopt(self, shard: int, blob: bytes) -> int:
         """Replace whatever this manager holds for ``shard`` with an
-        exported ``snapshot`` and ``records`` (idempotent: a retried adopt
-        installs the same state again).  :meth:`recover` rebuilds it."""
+        :meth:`export` of it; returns the journal records installed.
+
+        The whole handoff is checked before any state is touched: one
+        CRC-valid frame and nothing after it, a journal with no torn tail,
+        and a snapshot (if any) that decodes, names ``shard`` and has this
+        manager's ``k`` channels.  A failed check raises
+        :class:`~repro.errors.MigrationError` and installs nothing.
+        Idempotent: a retried adopt installs the same state again.
+        :meth:`recover` rebuilds it."""
+        frames, _consumed, torn = decode_frames(blob)
+        if torn or len(frames) != 1:
+            raise MigrationError(
+                f"handoff for shard {shard} is not one CRC-valid frame "
+                f"({len(blob)} bytes)"
+            )
+        payload = frames[0]
+        parts, _consumed, _torn = decode_frames(payload)
+        if not parts:
+            raise MigrationError(
+                f"handoff for shard {shard} has no snapshot frame"
+            )
+        records, _consumed, torn = decode_records(
+            payload[FRAME_HEADER_SIZE + len(parts[0]) :]
+        )
+        if torn:
+            raise MigrationError(
+                f"handoff for shard {shard} carries a torn journal"
+            )
+        snapshot = None
+        if parts[0]:
+            try:
+                snapshot = decode_snapshot(parts[0])
+            except DurabilityError as exc:
+                raise MigrationError(
+                    f"handoff for shard {shard}: {exc}"
+                ) from exc
+            if snapshot.shard != shard or len(snapshot.busy) != self.k:
+                raise MigrationError(
+                    f"handoff for shard {shard} carries a snapshot of shard "
+                    f"{snapshot.shard} with {len(snapshot.busy)} channels "
+                    f"(k={self.k} here)"
+                )
         self.release(shard)
         if snapshot is not None:
             self.store.save(snapshot)
         self.journal(shard).rewrite_records(records)
+        return len(records)
 
     def release(self, shard: int) -> None:
         """Close ``shard``'s journal and delete its journal and snapshots

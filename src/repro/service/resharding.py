@@ -16,12 +16,14 @@ no tick is ever in flight when the engine runs)::
 
       QUIESCE          tick boundary reached; source still authoritative
         |
-      EXPORT           source serializes shard → HandoffPayload
-        |                (snapshot + journal records + busy/tick)
-      ADOPT            destination installs the snapshot and journal,
-        |                rebuilds, reports the rebuilt (tick, busy[])
-      [verify]         engine cross-checks replica == exported state
-        |
+      EXPORT           source replies (next_tick, busy[], blob): the blob
+        |                is DurabilityManager.export, one CRC frame of its
+        |                latest snapshot and journal records
+      ADOPT            destination's DurabilityManager.adopt checks the
+        |                whole blob, installs it, rebuilds with recover and
+        |                reports the rebuilt (tick, busy[], records)
+      [verify]         this engine (parent side) checks the rebuilt
+        |                (tick, busy[]) == the exported one
       FLIP             placement map now names the destination (atomic:
         |                a dict write between ticks; next tick routes there)
       RELEASE          source closes + deletes its copy (.wal + .snap)
@@ -55,15 +57,12 @@ a serial queue.
 
 from __future__ import annotations
 
-import struct
 import time
-import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import InvalidParameterError, MigrationError
 from repro.faults.crashpoints import CrashPoints
-from repro.service.journal import JournalRecord, decode_records, encode_record
 from repro.service.telemetry import exponential_buckets
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -80,7 +79,6 @@ __all__ = [
     "plan_waves",
     "max_move_degree",
     "wave_bound",
-    "HandoffPayload",
     "MigrationReport",
     "ShardMigrator",
 ]
@@ -172,143 +170,6 @@ def plan_waves(moves: Iterable[ShardMove]) -> list[list[ShardMove]]:
             waves.append([m])
             participants.append({m.source, m.destination})
     return waves
-
-
-# -- handoff payload ---------------------------------------------------------
-
-_MAGIC = b"RHND"
-_VERSION = 2
-_HEADER = struct.Struct("!HIIQ")  # version, shard, k, next_tick
-_U32 = struct.Struct("!I")
-_U64 = struct.Struct("!Q")
-
-
-@dataclass(frozen=True, slots=True)
-class HandoffPayload:
-    """Everything a new owner needs to *become* the shard.
-
-    ``journal`` is the shard's write-ahead journal as its exporter holds
-    it, compacted to the oldest retained snapshot (encoded record stream,
-    :func:`repro.service.journal.encode_record` framing); ``snapshot`` is
-    the exporter's latest encoded
-    :class:`~repro.service.snapshot.ShardSnapshot`, ``None`` before the
-    shard's first one (its journal then still starts at tick 0).  The
-    adopter rebuilds from the two with the one rebuild path,
-    :meth:`~repro.service.durability.DurabilityManager.recover`;
-    ``busy``/``next_tick`` are the exporter's live state, carried so the
-    adopter can prove its rebuild reconstructed the identical replica.
-    """
-
-    shard: int
-    k: int
-    next_tick: int
-    busy: tuple[int, ...]
-    journal: bytes
-    snapshot: bytes | None = None
-
-    def records(self) -> list[JournalRecord]:
-        """Decode the journal stream (a torn tail here is corruption —
-        the exporter serialized from memory, not from a crashed file)."""
-        records, _consumed, torn = decode_records(self.journal)
-        if torn:
-            raise MigrationError(
-                f"handoff payload for shard {self.shard} carries a torn "
-                "journal stream"
-            )
-        return records
-
-    @classmethod
-    def from_records(
-        cls,
-        shard: int,
-        k: int,
-        next_tick: int,
-        busy: Sequence[int],
-        records: Iterable[JournalRecord],
-        snapshot: bytes | None = None,
-    ) -> "HandoffPayload":
-        return cls(
-            shard=shard,
-            k=k,
-            next_tick=next_tick,
-            busy=tuple(int(b) for b in busy),
-            journal=b"".join(encode_record(r) for r in records),
-            snapshot=snapshot,
-        )
-
-    # -- codec (the bytes that cross a wire or land in a CI artifact) -------
-
-    def encode(self) -> bytes:
-        if len(self.busy) != self.k:
-            raise InvalidParameterError(
-                f"busy has {len(self.busy)} entries for k={self.k}"
-            )
-        parts = [
-            _HEADER.pack(_VERSION, self.shard, self.k, self.next_tick),
-            struct.pack(f"!{self.k}Q", *self.busy),
-            _U64.pack(len(self.journal)),
-            self.journal,
-        ]
-        if self.snapshot is None:
-            parts.append(b"\x00")
-        else:
-            parts.append(b"\x01" + _U64.pack(len(self.snapshot)) + self.snapshot)
-        body = b"".join(parts)
-        return _MAGIC + body + _U32.pack(zlib.crc32(body))
-
-    @classmethod
-    def decode(cls, data: bytes) -> "HandoffPayload":
-        if len(data) < len(_MAGIC) + _HEADER.size + _U32.size:
-            raise MigrationError(
-                f"handoff payload truncated at {len(data)} bytes"
-            )
-        if data[:4] != _MAGIC:
-            raise MigrationError(
-                f"bad handoff magic {data[:4]!r} (want {_MAGIC!r})"
-            )
-        body, (crc,) = data[4:-4], _U32.unpack(data[-4:])
-        if zlib.crc32(body) != crc:
-            raise MigrationError("handoff payload CRC mismatch")
-        try:
-            version, shard, k, next_tick = _HEADER.unpack_from(body, 0)
-            if version != _VERSION:
-                raise MigrationError(
-                    f"handoff payload version {version} not supported "
-                    f"(this build speaks {_VERSION})"
-                )
-            off = _HEADER.size
-            busy = struct.unpack_from(f"!{k}Q", body, off)
-            off += 8 * k
-            (journal_len,) = _U64.unpack_from(body, off)
-            off += _U64.size
-            journal = body[off : off + journal_len]
-            if len(journal) != journal_len:
-                raise MigrationError("handoff journal stream truncated")
-            off += journal_len
-            snapshot = None
-            if body[off]:
-                (snap_len,) = _U64.unpack_from(body, off + 1)
-                snapshot = body[off + 1 + _U64.size : off + 1 + _U64.size + snap_len]
-                if len(snapshot) != snap_len:
-                    raise MigrationError("handoff snapshot truncated")
-                off += 1 + _U64.size + snap_len
-            else:
-                off += 1
-            if off != len(body):
-                raise MigrationError(
-                    f"{len(body) - off} bytes of trailing garbage in "
-                    "handoff payload"
-                )
-        except (struct.error, ValueError, IndexError) as exc:
-            raise MigrationError(f"malformed handoff payload: {exc}") from exc
-        return cls(
-            shard=shard,
-            k=k,
-            next_tick=next_tick,
-            busy=busy,
-            journal=journal,
-            snapshot=snapshot,
-        )
 
 
 # -- the engine --------------------------------------------------------------
@@ -413,27 +274,21 @@ class ShardMigrator:
             return report
 
         cp.reached(PHASE_QUIESCE)
-        blob = self.pool.call(source, "export_shard", shard)
-        payload = HandoffPayload.decode(blob)
-        if payload.shard != shard:
-            raise MigrationError(
-                f"worker {source} exported shard {payload.shard}, "
-                f"asked for {shard}"
-            )
+        # The blob is the source's own durable bytes for the shard
+        # (DurabilityManager.export); the engine passes it on unread and
+        # checks only what the destination rebuilt from it.
+        next_tick, busy, blob = self.pool.call(source, "export_shard", shard)
         cp.reached(PHASE_EXPORT)
 
-        adopted_tick, adopted_busy = self.pool.call(
+        adopted_tick, adopted_busy, adopted_records = self.pool.call(
             destination, "adopt_shard", shard, blob
         )
-        if (adopted_tick, tuple(adopted_busy)) != (
-            payload.next_tick,
-            payload.busy,
-        ):
+        if (adopted_tick, tuple(adopted_busy)) != (next_tick, tuple(busy)):
             raise MigrationError(
                 f"shard {shard} replica on worker {destination} replayed "
                 f"to (tick={adopted_tick}, busy={tuple(adopted_busy)}), "
-                f"source exported (tick={payload.next_tick}, "
-                f"busy={payload.busy}) — placement NOT flipped"
+                f"source exported (tick={next_tick}, "
+                f"busy={tuple(busy)}) — placement NOT flipped"
             )
         cp.reached(PHASE_ADOPT)
 
@@ -448,8 +303,8 @@ class ShardMigrator:
             source=source,
             destination=destination,
             payload_bytes=len(blob),
-            journal_records=len(payload.records()),
-            next_tick=payload.next_tick,
+            journal_records=adopted_records,
+            next_tick=next_tick,
             pause_seconds=time.perf_counter() - t0,
             wave=wave,
         )

@@ -98,7 +98,9 @@ class ShardWorker:
         return sum(1 for b in self._busy if b > 0)
 
     def busy_snapshot(self) -> list[int]:
-        """Copy of ``busy[]`` for the supervisor's checkpoints."""
+        """Copy of ``busy[]``: the supervisor's checkpoints, a worker's
+        ``busy`` reply, and the clock a migration export sends for the
+        parent to check the adopted replica against."""
         return list(self._busy)
 
     def availability(self) -> list[bool]:

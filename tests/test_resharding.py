@@ -2,8 +2,10 @@
 
 Three layers of coverage:
 
-* the :class:`HandoffPayload` codec — bit-identical round trips, typed
-  :class:`~repro.errors.MigrationError` on truncation/corruption;
+* the handoff, :meth:`DurabilityManager.export` / ``adopt`` —
+  bit-identical round trips, typed :class:`~repro.errors.MigrationError`
+  on truncation/corruption and on a snapshot of another shard or k, with
+  nothing installed;
 * the migration engine against real worker processes — placement flips,
   busy[] survives the move bit-identically, policy slices travel, and a
   run with migrations interleaved makes the same grants as one without;
@@ -32,15 +34,12 @@ from repro.faults import CrashPoints
 from repro.graphs.conversion import NonCircularConversion
 from repro.net.procpool import POISON_AFTER_ADOPT
 from repro.net.procservice import ProcessShardedService
-from repro.service.durability import DurabilityConfig
-from repro.service.journal import JournalRecord, RecordType
-from repro.service.resharding import (
-    MIGRATION_PHASES,
-    HandoffPayload,
-    ShardMove,
-)
-from repro.service.snapshot import decode_snapshot
+from repro.service.durability import DurabilityConfig, DurabilityManager
+from repro.service.journal import RecordType
+from repro.service.resharding import MIGRATION_PHASES, ShardMove
 from repro.service.server import ServiceGrant
+from repro.service.snapshot import ShardSnapshot, encode_snapshot
+from repro.util.framing import encode_frame
 
 N_FIBERS, K = 4, 3
 
@@ -59,75 +58,117 @@ def _service(**kwargs) -> ProcessShardedService:
     )
 
 
+def _exporter(*, snapshot: bool = False) -> DurabilityManager:
+    """Shard 2 of a k=3 placement after one granted slot; with
+    ``snapshot``, also a snapshot entering slot 1 and one more grant."""
+    manager = DurabilityManager(DurabilityConfig(), 0, K)
+    journal = manager.journal(2)
+    journal.grant_batch(0, [(0, 0, 1, 4)])
+    journal.advance(0)
+    if snapshot:
+        manager.take_snapshot(2, 1, (0, 3, 0), (), None)
+        journal.grant_batch(1, [(1, 0, 0, 2)])
+        journal.advance(1)
+    return manager
+
+
+def _refused(destination: DurabilityManager, shard: int, blob, match=None):
+    """``adopt`` raises :class:`MigrationError` and leaves what
+    ``destination`` held for ``shard`` byte for byte as it was."""
+    before = destination.export(shard)
+    with pytest.raises(MigrationError, match=match):
+        destination.adopt(shard, blob)
+    assert destination.export(shard) == before
+
+
 class TestHandoffPayload:
-    def _payload(self, **kwargs) -> HandoffPayload:
-        records = [
-            JournalRecord(RecordType.GRANT, 0, (0, 0, 0, 0, 1, 0, 0)),
-            JournalRecord(RecordType.ADVANCE, 0, ()),
-        ]
-        defaults = dict(
-            shard=2,
-            k=3,
-            next_tick=1,
-            busy=(0, 4, 0),
-            records=records,
-        )
-        defaults.update(kwargs)
-        return HandoffPayload.from_records(**defaults)
+    """The handoff is :meth:`DurabilityManager.export`'s one frame;
+    :meth:`DurabilityManager.adopt` checks all of it before installing."""
+
+    def _destination(self) -> DurabilityManager:
+        # Already holds a replica of shard 2, which a refused adopt keeps.
+        destination = DurabilityManager(DurabilityConfig(), 0, K)
+        destination.adopt(2, _exporter().export(2))
+        return destination
 
     def test_round_trip_is_bit_identical(self):
-        payload = self._payload()
-        blob = payload.encode()
-        again = HandoffPayload.decode(blob)
-        assert again == payload
-        assert again.encode() == blob
-        assert [r.type for r in again.records()] == [
+        source = _exporter()
+        blob = source.export(2)
+        destination = DurabilityManager(DurabilityConfig(), 0, K)
+        assert destination.adopt(2, blob) == 2
+        rebuilt, exported = destination.recover(2), source.recover(2)
+        assert (rebuilt.tick, rebuilt.busy) == (1, (0, 3, 0))
+        assert (rebuilt.tick, rebuilt.busy) == (exported.tick, exported.busy)
+        assert destination.export(2) == blob
+        assert [r.type for r in destination.journal(2).records()] == [
             RecordType.GRANT,
             RecordType.ADVANCE,
         ]
 
     def test_round_trip_with_snapshot(self):
-        payload = self._payload(snapshot=b"\x00\x01snapbytes")
-        assert (
-            HandoffPayload.decode(payload.encode()).snapshot
-            == b"\x00\x01snapbytes"
-        )
+        blob = _exporter(snapshot=True).export(2)
+        destination = DurabilityManager(DurabilityConfig(), 0, K)
+        destination.adopt(2, blob)
+        rebuilt = destination.recover(2)
+        assert rebuilt.source == "snapshot+journal"
+        assert rebuilt.snapshot_tick == 1
+        assert (rebuilt.tick, rebuilt.busy) == (2, (1, 2, 0))
+        assert destination.export(2) == blob
 
     def test_truncation_at_every_boundary_is_typed(self):
-        blob = self._payload().encode()
-        for cut in range(len(blob)):
-            with pytest.raises(MigrationError):
-                HandoffPayload.decode(blob[:cut])
+        destination = self._destination()
+        for snapshot in (False, True):
+            blob = _exporter(snapshot=snapshot).export(2)
+            for cut in range(len(blob)):
+                _refused(destination, 2, blob[:cut])
 
     def test_single_byte_corruption_is_typed(self):
-        blob = self._payload().encode()
-        for pos in range(len(blob)):
-            hostile = bytearray(blob)
-            hostile[pos] ^= 0xFF
-            with pytest.raises(MigrationError):
-                HandoffPayload.decode(bytes(hostile))
+        destination = self._destination()
+        for snapshot in (False, True):
+            blob = _exporter(snapshot=snapshot).export(2)
+            for pos in range(len(blob)):
+                hostile = bytearray(blob)
+                hostile[pos] ^= 0xFF
+                _refused(destination, 2, bytes(hostile))
 
     def test_trailing_garbage_is_typed(self):
-        with pytest.raises(MigrationError):
-            HandoffPayload.decode(self._payload().encode() + b"x")
+        blob = _exporter(snapshot=True).export(2)
+        destination = self._destination()
+        _refused(destination, 2, blob + b"x")
+        _refused(destination, 2, blob + blob)
 
     def test_bad_magic_is_typed(self):
-        blob = bytearray(self._payload().encode())
-        blob[:4] = b"NOPE"
-        with pytest.raises(MigrationError, match="magic"):
-            HandoffPayload.decode(bytes(blob))
+        # Every CRC holds; the snapshot inside does not decode.
+        snapshot = encode_snapshot(ShardSnapshot(2, 1, (0, 3, 0)))
+        blob = encode_frame(encode_frame(b"NOPE" + snapshot[4:]))
+        _refused(self._destination(), 2, blob, match="magic")
 
     def test_torn_journal_stream_is_typed(self):
-        payload = self._payload()
-        torn = HandoffPayload(
-            shard=payload.shard,
-            k=payload.k,
-            next_tick=payload.next_tick,
-            busy=payload.busy,
-            journal=payload.journal[:-3],
-        )
-        with pytest.raises(MigrationError, match="torn"):
-            torn.records()
+        source = _exporter()
+        # Half a record frame at the durable tail, as a severed write
+        # leaves it.
+        source.journal(2).backend.append(b"\x00\x00\x00\x13\x00")
+        _refused(self._destination(), 2, source.export(2), match="torn")
+
+    def test_snapshot_of_another_shard_is_typed(self):
+        other = DurabilityManager(DurabilityConfig(), 0, K)
+        other.take_snapshot(5, 32, (0, 4, 0), (), None)
+        destination = self._destination()
+        _refused(destination, 2, other.export(5), match="shard 5")
+        assert destination.store.ticks(5) == ()
+        fresh = DurabilityManager(DurabilityConfig(), 0, K)
+        with pytest.raises(MigrationError):
+            fresh.adopt(2, other.export(5))
+        assert fresh.store.ticks(5) == ()
+        assert fresh.recover(2).source == "cold"
+
+    def test_snapshot_of_another_k_is_typed(self):
+        wide = DurabilityManager(DurabilityConfig(), 0, 5)
+        wide.take_snapshot(1, 32, (0, 4, 0, 9, 9), (), None)
+        destination = DurabilityManager(DurabilityConfig(), 0, K)
+        _refused(destination, 1, wide.export(1), match="k=3")
+        rebuilt = destination.recover(1)
+        assert (rebuilt.source, rebuilt.busy) == ("cold", (0, 0, 0))
 
 
 class TestLiveMigration:
@@ -274,26 +315,31 @@ class TestLiveMigration:
                     await service.tick()
                 source = service.placement[0]
                 destination = 1 - source
-                blob = service.pool.call(source, "export_shard", 0)
-                payload = HandoffPayload.decode(blob)
-                snapshot = decode_snapshot(payload.snapshot)
-                assert snapshot.tick == 2 * interval
+                next_tick, busy, blob = service.pool.call(
+                    source, "export_shard", 0
+                )
+                assert next_tick == n_slots
+                assert busy == service.worker_busy(0)
+                assert max(busy) > 0
+                # Read the export back through the one rebuild path.
+                local = DurabilityManager(DurabilityConfig(), 0, K)
+                local.adopt(0, blob)
+                assert local.store.latest(0).tick == 2 * interval
                 # Compacted to the oldest retained snapshot.
-                assert min(r.tick for r in payload.records()) == interval
-                assert payload.next_tick == n_slots
-                assert list(payload.busy) == service.worker_busy(0)
-                assert max(payload.busy) > 0
+                assert min(r.tick for r in local.journal(0).records()) == (
+                    interval
+                )
+                rebuilt = local.recover(0)
+                assert (rebuilt.tick, list(rebuilt.busy)) == (next_tick, busy)
 
                 adopted = service.pool.call(
                     destination, "adopt_shard", 0, blob
                 )
-                assert (adopted[0], tuple(adopted[1])) == (
-                    payload.next_tick,
-                    payload.busy,
-                )
+                assert (adopted[0], adopted[1]) == (next_tick, busy)
+                assert adopted[2] == len(local.journal(0).records())
                 report = service.migrate_shard(0, destination)
                 assert report.next_tick == n_slots
-                assert service.worker_busy(0) == list(payload.busy)
+                assert service.worker_busy(0) == busy
 
                 src = tmp_path / f"worker-{source}"
                 assert not (src / "shard-0000.wal").exists()
@@ -303,9 +349,41 @@ class TestLiveMigration:
                 assert list(dst.glob("shard-0000.tick-*.snap"))
                 # The replica keeps ticking from the adopted clock.
                 await service.tick()
-                assert service.worker_busy(0) == [
-                    max(b - 1, 0) for b in payload.busy
-                ]
+                assert service.worker_busy(0) == [max(b - 1, 0) for b in busy]
+            finally:
+                await service.stop()
+
+        run(go())
+
+    def test_worker_refuses_a_corrupt_handoff(self):
+        """A flipped byte reaches the destination worker's own check: the
+        ``adopt_shard`` op replies an error, installs nothing, and the
+        next migration of the shard still verifies and flips."""
+
+        async def go():
+            service = _service()
+            try:
+                fut = service.submit_nowait(SlotRequest(0, 0, 0, duration=4))
+                await service.tick()
+                assert isinstance(await fut, ServiceGrant)
+                busy_before = service.worker_busy(0)
+                source = service.placement[0]
+                destination = 1 - source
+                _tick, _busy, blob = service.pool.call(
+                    source, "export_shard", 0
+                )
+                hostile = bytearray(blob)
+                hostile[len(blob) // 2] ^= 0xFF
+                with pytest.raises(WorkerProcessError, match="adopt_shard"):
+                    service.pool.call(
+                        destination, "adopt_shard", 0, bytes(hostile)
+                    )
+                assert 0 not in service.pool.call(destination, "busy")
+                assert service.placement[0] == source
+                report = service.migrate_shard(0, destination)
+                assert not report.resumed
+                assert service.placement[0] == destination
+                assert service.worker_busy(0) == busy_before
             finally:
                 await service.stop()
 
