@@ -9,7 +9,7 @@ Brings up the full PR-6 deployment shape in one script:
    own directory;
 2. a :class:`~repro.net.server.NetServer` TCP front door speaking the
    versioned binary wire protocol (length+CRC32 frames, HELLO/WELCOME
-   handshake, seq-correlated SUBMIT → GRANT/REJECT);
+   handshake, seq-correlated SUBMIT_BATCH → OUTCOMES rows);
 3. a :class:`~repro.net.client.NetClient` driving it like a remote
    client would — then SIGKILLs a worker mid-run and shows journal
    recovery handing back the exact same channel clocks.

@@ -21,8 +21,9 @@ the byte stream between a :class:`~repro.net.client.NetClient` and a
   The strict :class:`~repro.util.framing.FrameDecoder` must kill the
   connection loudly (CRC mismatch); a wrong grant must never be
   delivered.
-* :class:`DuplicateFrame` — the next SUBMIT frame is delivered twice,
-  byte-identical.  The server's exactly-once dedup must absorb it.
+* :class:`DuplicateFrame` — the next SUBMIT_BATCH frame is delivered
+  twice, byte-identical, so every request in it arrives twice.  The
+  server's exactly-once dedup must absorb it.
 * :class:`Partition` — from the trigger slot the link is severed and new
   connections are refused for ``seconds`` of wall time (slot time stops
   flowing during a full partition, so the healing edge must be wall
@@ -119,7 +120,7 @@ class CorruptByte:
 
 @dataclass(frozen=True, slots=True, order=True)
 class DuplicateFrame:
-    """The first client→server SUBMIT frame at-or-after ``slot``
+    """The first client→server SUBMIT_BATCH frame at-or-after ``slot``
     is relayed twice, byte-identical (exactly-once dedup drill)."""
 
     slot: int

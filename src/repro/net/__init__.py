@@ -5,8 +5,8 @@ pays off when shards stop sharing one GIL.  This package provides the
 pieces that take :class:`~repro.service.SchedulingService` out of a single
 process:
 
-* :mod:`repro.net.protocol` — typed binary messages (SUBMIT / GRANT /
-  REJECT / TICK_ADVANCE / HELLO version handshake) over the shared
+* :mod:`repro.net.protocol` — typed binary messages (SUBMIT_BATCH /
+  OUTCOMES / TICK_ADVANCE / HELLO version handshake) over the shared
   length+CRC32 frame codec (:mod:`repro.util.framing`).
 * :mod:`repro.net.server` / :mod:`repro.net.client` — the asyncio TCP
   front door and its raw connection, :class:`~repro.net.client.NetClient`.
@@ -43,10 +43,12 @@ from repro.net.protocol import (
     Hello,
     Migrate,
     Migrated,
+    Outcomes,
     Ping,
     Pong,
     Reject,
     Submit,
+    SubmitBatch,
     TickAdvance,
     TickDone,
     Welcome,
@@ -75,8 +77,10 @@ __all__ = [
     "ErrorMsg",
     "Bye",
     "Submit",
+    "SubmitBatch",
     "Grant",
     "Reject",
+    "Outcomes",
     "TickAdvance",
     "TickDone",
     "Migrate",

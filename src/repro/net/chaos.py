@@ -4,10 +4,10 @@
 and a :class:`~repro.net.server.NetServer` and executes a seeded
 :class:`~repro.faults.net.NetFaultPlan` against the byte stream — added
 latency, slow-loris write stalls, mid-frame connection resets,
-single-byte corruption, duplicate SUBMIT delivery, and full partitions —
-so the liveness machinery (heartbeats, reconnect/redelivery, strict
-framing, exactly-once dedup, ``UNAVAILABLE`` degradation) can be drilled
-through the *real* TCP stack, deterministically.
+single-byte corruption, duplicate SUBMIT_BATCH delivery, and full
+partitions — so the liveness machinery (heartbeats, reconnect/redelivery,
+strict framing, exactly-once dedup, ``UNAVAILABLE`` degradation) can be
+drilled through the *real* TCP stack, deterministically.
 
 Design notes:
 
@@ -20,9 +20,10 @@ Design notes:
   One-shot events fire at the first eligible frame at-or-after their
   trigger slot, which keeps a plan meaningful even when wall-clock
   timing wobbles.
-* Duplicate delivery is restricted to SUBMIT frames: duplicating
-  a TICK_ADVANCE would genuinely double-tick the service, which is a
-  *different* experiment than "the network delivered a request twice".
+* Duplicate delivery is restricted to SUBMIT_BATCH frames (every row of
+  the batch arrives twice): duplicating a TICK_ADVANCE would genuinely
+  double-tick the service, which is a *different* experiment than "the
+  network delivered a request twice".
 * A partition starts at its trigger slot but heals after ``seconds`` of
   wall time, because slot time stops flowing while the link is down.
 """
@@ -43,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ChaosProxy", "FrameSplitter"]
 
 _READ_CHUNK = 65536
-_SUBMIT_TAG = int(proto.MsgType.SUBMIT)
+_SUBMIT_TAG = int(proto.MsgType.SUBMIT_BATCH)
 
 
 class FrameSplitter:
@@ -363,7 +364,7 @@ class ChaosProxy:
                 await asyncio.sleep(pause)
             self._log("frame", direction, tag=tag, len=len(frame))
             return
-        # Duplicate delivery: only SUBMIT frames (duplicating a
+        # Duplicate delivery: only SUBMIT_BATCH frames (duplicating a
         # TICK_ADVANCE would double-tick the service — a different bug).
         if (
             direction == "c2s"

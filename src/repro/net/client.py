@@ -1,9 +1,13 @@
 """The TCP client for the scheduling service's wire protocol.
 
 :class:`NetClient` speaks :mod:`repro.net.protocol` over the shared
-frame codec: HELLO/WELCOME handshake at connect, pipelined SUBMITs
-correlated by ``seq``, TICK_ADVANCE driving, BYE on close.  It is
-the raw connection: it neither reconnects nor retries.
+frame codec: HELLO/WELCOME handshake at connect, pipelined submissions
+correlated by ``seq``, TICK_ADVANCE driving, BYE on close.  Every
+request queued in one event-loop turn leaves in one SUBMIT_BATCH
+(flushed by one ``call_soon`` callback), and every other message is
+written behind the rows queued before it, so a slot's requests always
+reach the server before its TICK_ADVANCE.  It is the raw connection: it
+neither reconnects nor retries.
 :class:`NetLink` is the TCP transport of
 :class:`~repro.service.client.SchedulingClient` — a :class:`NetClient`
 re-opened after a transport loss, a heartbeat, idempotent tick driving
@@ -15,9 +19,10 @@ in-flight :meth:`submit` — must close transports cleanly and leave no
 pending tasks behind (no "Task was destroyed but it is pending"
 warnings, no leaked file descriptors under repeated connect/cancel
 cycles).  Concretely: ``close()`` cancels and *awaits* the reader task,
-cancelling a submit detaches its pending future before re-raising, and
+cancelling a submit detaches its pending future before re-raising,
 abandoned futures are cancelled (never left with an unretrieved
-exception).
+exception), and rows still queued at ``close()`` leave before its BYE,
+never after.
 """
 
 from __future__ import annotations
@@ -76,8 +81,13 @@ class NetClient:
         self.version = welcome.version
         self.n_fibers = welcome.n_fibers
         self.k = welcome.k
+        self._loop = asyncio.get_running_loop()
         self._seq = 0
         self._pending: "dict[int, asyncio.Future[proto.Grant | proto.Reject]]" = {}
+        #: SUBMIT rows (packed) queued this loop turn, written by
+        #: :meth:`_flush` or ahead of the next other message.
+        self._rows: list[bytes] = []
+        self._flush_scheduled = False
         self._tick_waiters: "deque[asyncio.Future[proto.TickDone]]" = deque()
         self._ping_waiters: "dict[int, asyncio.Future[proto.Pong]]" = {}
         self._ping_token = 0
@@ -87,7 +97,7 @@ class NetClient:
         self.server_slot = -1
         self._closing = False
         self._conn_error: Exception | None = None
-        self._reader_task = asyncio.get_running_loop().create_task(
+        self._reader_task = self._loop.create_task(
             self._read_loop(), name="repro-netclient-reader"
         )
 
@@ -183,7 +193,7 @@ class NetClient:
             return
         self._closing = True
         try:
-            self._writer.write(encode_frame(proto.encode_message(proto.Bye())))
+            self._send(proto.Bye())
             await self._writer.drain()
         except (ConnectionError, BrokenPipeError, OSError):
             pass
@@ -231,8 +241,31 @@ class NetClient:
         if self._conn_error is not None:
             raise self._conn_error
 
+    def _batch_frames(self) -> bytes:
+        """Take the queued rows as framed SUBMIT_BATCH messages."""
+        rows, self._rows = self._rows, []
+        return b"".join(
+            encode_frame(proto.encode_message(batch))
+            for batch in proto.submit_batches(rows)
+        )
+
+    def _flush(self) -> None:
+        """The loop-turn flush: write the queued rows.  A dead connection
+        drops them; their futures fail with the connection's error."""
+        self._flush_scheduled = False
+        if not self._rows:
+            return
+        if self._conn_error is not None:
+            self._rows.clear()
+            return
+        self._writer.write(self._batch_frames())
+
     def _send(self, msg: "proto.Message") -> None:
-        self._writer.write(encode_frame(proto.encode_message(msg)))
+        """Write ``msg`` behind every row queued before it."""
+        frame = encode_frame(proto.encode_message(msg))
+        if self._rows:
+            frame = self._batch_frames() + frame
+        self._writer.write(frame)
 
     def submit_nowait(
         self,
@@ -241,29 +274,24 @@ class NetClient:
         timeout_ticks: int = -1,
         request_id: str = "",
     ) -> "asyncio.Future[proto.Grant | proto.Reject]":
-        """Send one SUBMIT; the future resolves with the server's
+        """Queue one SUBMIT row for this loop turn's SUBMIT_BATCH; the
+        future resolves with the server's
         :class:`~repro.net.protocol.Grant` or
         :class:`~repro.net.protocol.Reject` (or raises ProtocolError on a
-        server-side ERROR)."""
+        server-side ERROR).  A row the wire cannot carry raises
+        ProtocolError here and queues nothing."""
         self._check_open()
         seq = self._next_seq()
+        self._rows.append(
+            proto.encode_submit_row(seq, request, timeout_ticks, request_id)
+        )
         fut: "asyncio.Future[proto.Grant | proto.Reject]" = (
-            asyncio.get_running_loop().create_future()
+            self._loop.create_future()
         )
         self._pending[seq] = fut
-        self._send(
-            proto.Submit(
-                seq,
-                request.input_fiber,
-                request.wavelength,
-                request.output_fiber,
-                duration=request.duration,
-                priority=request.priority,
-                timeout_ticks=timeout_ticks,
-                request_id=request_id,
-                tenant=request.tenant,
-            )
-        )
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            self._loop.call_soon(self._flush)
         return fut
 
     async def submit(
@@ -399,7 +427,13 @@ class NetClient:
             self._fail_pending(error)
 
     def _dispatch(self, msg: "proto.Message") -> None:
-        if isinstance(msg, (proto.Grant, proto.Reject, proto.Migrated)):
+        if isinstance(msg, proto.Outcomes):
+            pending = self._pending
+            for row in msg.rows:
+                fut = pending.pop(row.seq, None)
+                if fut is not None and not fut.done():
+                    fut.set_result(row)
+        elif isinstance(msg, proto.Migrated):
             fut = self._pending.pop(msg.seq, None)
             if fut is not None and not fut.done():
                 fut.set_result(msg)

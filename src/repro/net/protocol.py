@@ -1,7 +1,7 @@
 """Typed binary messages for the scheduling service's TCP front door.
 
 Every message is one frame (:mod:`repro.util.framing`) whose payload is a
-one-byte type tag followed by a fixed big-endian body.  The codec is
+one-byte type tag followed by a big-endian body.  The codec is
 deliberately tiny: :func:`encode_message` produces the *payload* (the
 transport frames it), :func:`decode_message` parses one payload back and
 raises a typed :class:`~repro.errors.ProtocolError` on anything it cannot
@@ -13,32 +13,41 @@ Connection lifecycle::
     client                                server
       | -- HELLO [versions I speak] -------> |
       | <-- WELCOME [version, n_fibers, k] - |   (or ERROR + close)
-      | -- SUBMIT seq=1 ... ---------------> |
+      | -- SUBMIT_BATCH [seq=1..n rows] ---> |   (one per loop turn)
       | -- TICK_ADVANCE -------------------> |
-      | <-- GRANT seq=1 ... ---------------- |   (resolutions, any order)
-      | <-- TICK_DONE slot ... ------------- |
+      | <-- OUTCOMES [seq=1..n rows] ------- |   (one per loop turn)
+      | <-- TICK_DONE slot ... ------------- |   (after that tick's OUTCOMES)
       | -- BYE ----------------------------> |   (clean shutdown)
 
-``seq`` is a per-connection client-chosen correlation id (> 0); the
-server echoes it on GRANT/REJECT/ERROR so responses can arrive out of
-order.  ``seq == 0`` on an ERROR means the error is connection-level
-(handshake violation, corrupt frame) and the server will close.
+A slot's requests travel as rows, not messages: the client queues every
+request of one event-loop turn into one SUBMIT_BATCH, and the server
+answers every request resolved in one loop turn with one OUTCOMES.  A
+batch that would exceed :data:`MAX_MESSAGE` is split into several
+(:func:`submit_batches`, :func:`outcome_batches`).
+
+``seq`` is a per-connection client-chosen correlation id (> 0) carried by
+each SUBMIT_BATCH row; the server echoes it on that request's OUTCOMES
+row (or ERROR), so outcomes can arrive in any order.  ``seq == 0`` on an
+ERROR means the error is connection-level (handshake violation, corrupt
+frame) and the server will close.
 
 Every client and server is built from this package, so there is exactly
 one message set, :data:`PROTOCOL_VERSION`.  HELLO carries a list of
 versions so that a peer whose list lacks :data:`PROTOCOL_VERSION` (any
-pre-v5 build) still decodes cleanly and is answered ERROR
+pre-v6 build) still decodes cleanly and is answered ERROR
 ``NO_COMMON_VERSION``, then closed.
 
 The message set:
 
 * ``HELLO`` / ``WELCOME`` / ``ERROR`` / ``BYE`` — handshake, typed
   failures, clean shutdown.
-* ``SUBMIT`` (0x05) — one slot request; the body always carries the
-  ``tenant`` u32 after ``priority``.  Tag 0x0A (a retired tenant-only
-  submit) is never reused and decodes as an unknown tag.
-* ``GRANT`` / ``REJECT`` — a submission's outcome; REJECT carries every
-  :class:`~repro.service.server.RejectReason` code verbatim.
+* ``SUBMIT_BATCH`` (0x0F) — a u16 row count, then that many
+  :class:`Submit` rows (one slot request each; every row carries the
+  ``tenant`` u32 after ``priority`` and its own ``request_id``).
+* ``OUTCOMES`` (0x10) — a u16 row count, then that many fixed rows, one
+  per resolved ``seq``: a :class:`Grant`'s channel and slot, or a
+  :class:`Reject`'s :class:`~repro.service.server.RejectReason` code
+  (verbatim) and slot.
 * ``TICK_ADVANCE`` / ``TICK_DONE`` — drive ticks, report the next slot.
 * ``MIGRATE`` (0x0B) / ``MIGRATED`` (0x0C) — admin: live-migrate one
   shard to a destination worker and receive the migration report (see
@@ -48,9 +57,13 @@ The message set:
   echoes the PING's token and carries the server's current slot, so a
   reconnecting client resyncs its logical clock from it.
 
-``timeout_ticks`` on SUBMIT is a deterministic deadline: ``submit slot +
-timeout_ticks`` on the *server's* logical clock, so an expired request
-resolves ``TIMED_OUT`` instead of waiting out a partition.
+Retired tags are never reused and decode as unknown: 0x05–0x07 (one
+SUBMIT, GRANT or REJECT per frame, before rows were batched) and 0x0A (a
+tenant-only submit).
+
+``timeout_ticks`` on a SUBMIT row is a deterministic deadline: ``submit
+slot + timeout_ticks`` on the *server's* logical clock, so an expired
+request resolves ``TIMED_OUT`` instead of waiting out a partition.
 """
 
 from __future__ import annotations
@@ -73,8 +86,10 @@ __all__ = [
     "ErrorMsg",
     "Bye",
     "Submit",
+    "SubmitBatch",
     "Grant",
     "Reject",
+    "Outcomes",
     "TickAdvance",
     "TickDone",
     "Migrate",
@@ -84,32 +99,33 @@ __all__ = [
     "Message",
     "encode_message",
     "decode_message",
+    "encode_submit_row",
+    "submit_batches",
+    "outcome_batches",
     "reject_reason_code",
     "reject_reason_from_code",
 ]
 
 #: The one protocol version this build speaks.
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 #: Upper bound on one message payload; a protocol frame beyond this is
-#: corruption, not a big message (the largest legal message is a few
-#: hundred bytes of ERROR text).
-MAX_MESSAGE = 4096
+#: corruption, not a big message.  SUBMIT_BATCH and OUTCOMES are split to
+#: fit (one PERF-D slot is about 9 KB of SUBMIT rows).
+MAX_MESSAGE = 65536
 
 
 class MsgType(enum.IntEnum):
     """One-byte message tags (never renumber or reuse; append only).
 
-    0x0A is retired: it carried a tenant-only submit before SUBMIT
-    always had a tenant."""
+    Retired: 0x05–0x07 carried one SUBMIT, GRANT or REJECT per frame
+    before SUBMIT_BATCH and OUTCOMES; 0x0A carried a tenant-only submit
+    before SUBMIT always had a tenant."""
 
     HELLO = 0x01
     WELCOME = 0x02
     ERROR = 0x03
     BYE = 0x04
-    SUBMIT = 0x05
-    GRANT = 0x06
-    REJECT = 0x07
     TICK_ADVANCE = 0x08
     TICK_DONE = 0x09
     #: Admin request — live-migrate one shard.
@@ -121,6 +137,10 @@ class MsgType(enum.IntEnum):
     #: Heartbeat reply — echoes the token, carries the server's current
     #: slot (the reconnect clock-resync source).
     PONG = 0x0E
+    #: Every SUBMIT row one client loop turn queued.
+    SUBMIT_BATCH = 0x0F
+    #: One GRANT/REJECT row per request resolved in one server loop turn.
+    OUTCOMES = 0x10
 
 
 class ErrorCode(enum.IntEnum):
@@ -211,10 +231,10 @@ class Bye:
 
 @dataclass(frozen=True, slots=True)
 class Submit:
-    """One slot request.  ``seq`` (> 0) correlates the response;
-    ``timeout_ticks < 0`` means no deadline; ``request_id`` is the
-    optional idempotency key (empty = none); ``tenant`` is the traffic
-    owner (0 = default)."""
+    """One SUBMIT_BATCH row: a slot request.  ``seq`` (> 0) correlates
+    its OUTCOMES row; ``timeout_ticks < 0`` means no deadline;
+    ``request_id`` is the optional idempotency key (empty = none);
+    ``tenant`` is the traffic owner (0 = default)."""
 
     seq: int
     input_fiber: int
@@ -238,8 +258,20 @@ class Submit:
 
 
 @dataclass(frozen=True, slots=True)
+class SubmitBatch:
+    """Every SUBMIT row a client queued in one loop turn (1..65535
+    rows, in submission order).  To encode, a row is a :class:`Submit` or
+    its bytes already packed by :func:`encode_submit_row` (what
+    :class:`~repro.net.client.NetClient` queues); decoding always yields
+    :class:`Submit` rows."""
+
+    rows: tuple[Submit, ...] | tuple[bytes, ...]
+
+
+@dataclass(frozen=True, slots=True)
 class Grant:
-    """The submission ``seq`` was granted ``channel`` at ``slot``."""
+    """An OUTCOMES row: the submission ``seq`` was granted ``channel``
+    at ``slot``."""
 
     seq: int
     channel: int
@@ -248,12 +280,20 @@ class Grant:
 
 @dataclass(frozen=True, slots=True)
 class Reject:
-    """The submission ``seq`` resolved without a channel.
+    """An OUTCOMES row: the submission ``seq`` resolved without a channel.
     ``slot == -1`` means the rejection predates any tick."""
 
     seq: int
     reason: RejectReason
     slot: int = -1
+
+
+@dataclass(frozen=True, slots=True)
+class Outcomes:
+    """One :class:`Grant` or :class:`Reject` row per submission the
+    server resolved in one loop turn (1..65535 rows)."""
+
+    rows: tuple[Grant | Reject, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -324,9 +364,8 @@ Message = (
     | Welcome
     | ErrorMsg
     | Bye
-    | Submit
-    | Grant
-    | Reject
+    | SubmitBatch
+    | Outcomes
     | TickAdvance
     | TickDone
     | Migrate
@@ -340,9 +379,12 @@ Message = (
 
 _WELCOME = struct.Struct("!HII")
 _ERROR_HEAD = struct.Struct("!QHH")
+_ROW_COUNT = struct.Struct("!H")
+#: A SUBMIT row before its request_id bytes.
 _SUBMIT_HEAD = struct.Struct("!QIIIIiIqH")
-_GRANT = struct.Struct("!QIq")
-_REJECT = struct.Struct("!QBq")
+#: An OUTCOMES row: seq, code (0 = grant, else the reject-reason code),
+#: channel (0 on a reject), slot.
+_OUTCOME = struct.Struct("!QBIq")
 _TICK_ADVANCE = struct.Struct("!I")
 _TICK_DONE = struct.Struct("!qI")
 _MIGRATE = struct.Struct("!QII")
@@ -353,10 +395,165 @@ _PONG = struct.Struct("!Qq")
 _MAX_ERROR_TEXT = 1024
 _MAX_REQUEST_ID = 256
 _MAX_VERSIONS = 64
+_MAX_ROWS = 0xFFFF
+_BATCH_HEAD = 1 + _ROW_COUNT.size
+_MAX_OUTCOME_ROWS = (MAX_MESSAGE - _BATCH_HEAD) // _OUTCOME.size
+
+
+def encode_submit_row(
+    seq: int,
+    request: "SlotRequest | Submit",
+    timeout_ticks: int = -1,
+    request_id: str = "",
+) -> bytes:
+    """One SUBMIT_BATCH row's bytes: ``request``'s fields behind ``seq``.
+
+    Raises :class:`~repro.errors.ProtocolError` on a row the wire cannot
+    carry (a request_id over 256 bytes, a field out of its range)."""
+    rid = request_id.encode("utf-8") if request_id else b""
+    if len(rid) > _MAX_REQUEST_ID:
+        raise ProtocolError(
+            f"cannot encode SUBMIT row: request_id of {len(rid)} bytes "
+            f"exceeds {_MAX_REQUEST_ID}"
+        )
+    try:
+        head = _SUBMIT_HEAD.pack(
+            seq,
+            request.input_fiber,
+            request.wavelength,
+            request.output_fiber,
+            request.duration,
+            request.priority,
+            request.tenant,
+            timeout_ticks,
+            len(rid),
+        )
+    except struct.error as exc:
+        raise ProtocolError(f"cannot encode SUBMIT row: {exc}") from None
+    return head + rid if rid else head
+
+
+def submit_batches(rows: "list[bytes]") -> "list[SubmitBatch]":
+    """Split packed rows (:func:`encode_submit_row`, in order) into
+    SUBMIT_BATCH messages that each encode within :data:`MAX_MESSAGE`."""
+    batches: list[SubmitBatch] = []
+    start, size = 0, _BATCH_HEAD
+    for i, row in enumerate(rows):
+        if size + len(row) > MAX_MESSAGE:
+            batches.append(SubmitBatch(tuple(rows[start:i])))
+            start, size = i, _BATCH_HEAD
+        size += len(row)
+    batches.append(SubmitBatch(tuple(rows[start:])))
+    return batches
+
+
+def outcome_batches(rows: "list[Grant | Reject]") -> "list[Outcomes]":
+    """Split ``rows`` (in order) into OUTCOMES messages that each encode
+    within :data:`MAX_MESSAGE`."""
+    step = _MAX_OUTCOME_ROWS
+    return [Outcomes(tuple(rows[i : i + step])) for i in range(0, len(rows), step)]
+
+
+def _encode_submit_batch(rows: "tuple[Submit | bytes, ...]") -> bytes:
+    parts = [bytes([MsgType.SUBMIT_BATCH]), _row_count(len(rows), "SUBMIT_BATCH")]
+    for row in rows:
+        if not isinstance(row, bytes):
+            row = encode_submit_row(row.seq, row, row.timeout_ticks, row.request_id)
+        parts.append(row)
+    return _within_limit(b"".join(parts), "SUBMIT_BATCH")
+
+
+def _encode_outcomes(rows: "tuple[Grant | Reject, ...]") -> bytes:
+    parts = [bytes([MsgType.OUTCOMES]), _row_count(len(rows), "OUTCOMES")]
+    pack = _OUTCOME.pack
+    for row in rows:
+        if isinstance(row, Grant):
+            parts.append(pack(row.seq, 0, row.channel, row.slot))
+        else:
+            parts.append(pack(row.seq, _REASON_CODES[row.reason], 0, row.slot))
+    return _within_limit(b"".join(parts), "OUTCOMES")
+
+
+def _row_count(n: int, name: str) -> bytes:
+    if not 0 < n <= _MAX_ROWS:
+        raise ProtocolError(f"{name} must carry 1..{_MAX_ROWS} rows, got {n}")
+    return _ROW_COUNT.pack(n)
+
+
+def _within_limit(payload: bytes, name: str) -> bytes:
+    if len(payload) > MAX_MESSAGE:
+        raise ProtocolError(
+            f"{name} of {len(payload)} bytes exceeds {MAX_MESSAGE}; "
+            "split it first"
+        )
+    return payload
+
+
+def _decode_submit_batch(payload: bytes) -> SubmitBatch:
+    n = _decode_row_count(payload, "SUBMIT_BATCH")
+    unpack_from = _SUBMIT_HEAD.unpack_from
+    head = _SUBMIT_HEAD.size
+    end = len(payload)
+    off = _BATCH_HEAD
+    rows = []
+    for _ in range(n):
+        if off + head > end:
+            raise ProtocolError("SUBMIT_BATCH row cut mid-body")
+        (seq, inf, wl, outf, dur, prio, tenant, timeout, rid_len) = unpack_from(
+            payload, off
+        )
+        off += head
+        if seq == 0:
+            raise ProtocolError("SUBMIT row seq must be > 0")
+        rid = ""
+        if rid_len:
+            if off + rid_len > end:
+                raise ProtocolError("SUBMIT_BATCH row cut mid-body")
+            rid = payload[off : off + rid_len].decode("utf-8", "replace")
+            off += rid_len
+        rows.append(Submit(seq, inf, wl, outf, dur, prio, timeout, rid, tenant))
+    if off != end:
+        raise ProtocolError("SUBMIT_BATCH has bytes after its last row")
+    return SubmitBatch(tuple(rows))
+
+
+def _decode_outcomes(payload: bytes) -> Outcomes:
+    n = _decode_row_count(payload, "OUTCOMES")
+    if len(payload) != _BATCH_HEAD + n * _OUTCOME.size:
+        raise ProtocolError(
+            f"OUTCOMES body is {len(payload) - _BATCH_HEAD} bytes for {n} "
+            f"rows of {_OUTCOME.size}"
+        )
+    rows: list[Grant | Reject] = []
+    for seq, code, channel, slot in _OUTCOME.iter_unpack(
+        memoryview(payload)[_BATCH_HEAD:]
+    ):
+        if seq == 0:
+            raise ProtocolError("OUTCOMES row seq must be > 0")
+        if not code:
+            rows.append(Grant(seq, channel, slot))
+        elif channel:
+            raise ProtocolError("OUTCOMES reject row carries a channel")
+        else:
+            rows.append(Reject(seq, reject_reason_from_code(code), slot))
+    return Outcomes(tuple(rows))
+
+
+def _decode_row_count(payload: bytes, name: str) -> int:
+    if len(payload) < _BATCH_HEAD:
+        raise ProtocolError(f"{name} missing its row count")
+    (n,) = _ROW_COUNT.unpack_from(payload, 1)
+    if n == 0:
+        raise ProtocolError(f"{name} carries no rows")
+    return n
 
 
 def encode_message(msg: Message) -> bytes:
     """Serialize ``msg`` to one frame payload (tag byte + body)."""
+    if isinstance(msg, SubmitBatch):
+        return _encode_submit_batch(msg.rows)
+    if isinstance(msg, Outcomes):
+        return _encode_outcomes(msg.rows)
     if isinstance(msg, Hello):
         if not msg.versions or len(msg.versions) > _MAX_VERSIONS:
             raise ProtocolError(
@@ -380,33 +577,6 @@ def encode_message(msg: Message) -> bytes:
         )
     if isinstance(msg, Bye):
         return bytes([MsgType.BYE])
-    if isinstance(msg, Submit):
-        rid = msg.request_id.encode("utf-8")
-        if len(rid) > _MAX_REQUEST_ID:
-            raise ProtocolError(
-                f"request_id of {len(rid)} bytes exceeds {_MAX_REQUEST_ID}"
-            )
-        return (
-            bytes([MsgType.SUBMIT])
-            + _SUBMIT_HEAD.pack(
-                msg.seq,
-                msg.input_fiber,
-                msg.wavelength,
-                msg.output_fiber,
-                msg.duration,
-                msg.priority,
-                msg.tenant,
-                msg.timeout_ticks,
-                len(rid),
-            )
-            + rid
-        )
-    if isinstance(msg, Grant):
-        return bytes([MsgType.GRANT]) + _GRANT.pack(msg.seq, msg.channel, msg.slot)
-    if isinstance(msg, Reject):
-        return bytes([MsgType.REJECT]) + _REJECT.pack(
-            msg.seq, reject_reason_code(msg.reason), msg.slot
-        )
     if isinstance(msg, TickAdvance):
         return bytes([MsgType.TICK_ADVANCE]) + _TICK_ADVANCE.pack(msg.count)
     if isinstance(msg, TickDone):
@@ -455,6 +625,10 @@ def decode_message(payload: bytes) -> Message:
     except ValueError:
         raise ProtocolError(f"unknown message tag 0x{tag:02x}") from None
     try:
+        if mtype is MsgType.OUTCOMES:
+            return _decode_outcomes(payload)
+        if mtype is MsgType.SUBMIT_BATCH:
+            return _decode_submit_batch(payload)
         if mtype is MsgType.HELLO:
             if len(payload) < 2:
                 raise ProtocolError("HELLO missing version count")
@@ -478,35 +652,6 @@ def decode_message(payload: bytes) -> Message:
             if len(payload) != 1:
                 raise ProtocolError("BYE carries no body")
             return Bye()
-        if mtype is MsgType.SUBMIT:
-            if len(payload) < 1 + _SUBMIT_HEAD.size:
-                raise ProtocolError("SUBMIT body too short")
-            (seq, inf, wl, outf, dur, prio, tenant, timeout, rid_len) = (
-                _SUBMIT_HEAD.unpack_from(payload, 1)
-            )
-            rid = payload[1 + _SUBMIT_HEAD.size :]
-            if len(rid) != rid_len:
-                raise ProtocolError(
-                    "SUBMIT request_id length disagrees with header"
-                )
-            if seq == 0:
-                raise ProtocolError("SUBMIT seq must be > 0")
-            return Submit(
-                seq,
-                inf,
-                wl,
-                outf,
-                duration=dur,
-                priority=prio,
-                timeout_ticks=timeout,
-                request_id=rid.decode("utf-8", "replace"),
-                tenant=tenant,
-            )
-        if mtype is MsgType.GRANT:
-            return Grant(*_exact(payload, _GRANT, "GRANT"))
-        if mtype is MsgType.REJECT:
-            seq, code, slot = _exact(payload, _REJECT, "REJECT")
-            return Reject(seq, reject_reason_from_code(code), slot)
         if mtype is MsgType.TICK_ADVANCE:
             (count,) = _exact(payload, _TICK_ADVANCE, "TICK_ADVANCE")
             if count == 0:

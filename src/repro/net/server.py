@@ -13,11 +13,18 @@ Per-connection discipline:
   :data:`~repro.net.protocol.PROTOCOL_VERSION` and the interconnect
   shape, or — when the HELLO does not list that version — ERROR
   ``NO_COMMON_VERSION`` and closes;
-* SUBMIT resolves asynchronously — the response (GRANT / REJECT /
-  ERROR with the same ``seq``) is written when the service resolves the
-  future, so responses may interleave with later requests;
+* each SUBMIT_BATCH row goes straight to the service's
+  ``submit_nowait``; a row that fails validation is answered ERROR
+  ``BAD_REQUEST`` with its ``seq``;
+* outcomes are batched: every row the service resolves in one loop turn
+  is written in one OUTCOMES message per connection (split at
+  :data:`~repro.net.protocol.MAX_MESSAGE`), so outcomes may interleave
+  with later requests;
 * TICK_ADVANCE runs ticks under one server-wide lock (ticks are global,
-  connections must not interleave halves of them) and answers TICK_DONE;
+  connections must not interleave halves of them) and answers TICK_DONE
+  at the end of that loop turn, behind the OUTCOMES of the requests the
+  ticks resolved — every future the tick settled is resolved on the
+  client before its ``tick()`` returns;
 * PING answers PONG carrying the current slot — the
   heartbeat that feeds the client-side liveness detector and resyncs a
   reconnecting client's logical clock;
@@ -60,18 +67,54 @@ _READ_CHUNK = 65536
 
 
 class _Conn:
-    """Per-connection state: writer and watched futures."""
+    """Per-connection state: the writer and this loop turn's outcomes.
 
-    __slots__ = ("writer", "watched", "closed")
+    Outcome rows collect until the end of the loop turn (:meth:`flush`,
+    one ``call_soon``) and leave as one OUTCOMES message; every other
+    message is written behind the rows collected before it.  A tick
+    schedules its futures' done callbacks before it returns, so a
+    TICK_DONE sent with :meth:`send_after_outcomes` leaves behind the
+    outcomes of every request that tick resolved.
+    """
+
+    __slots__ = ("writer", "closed", "outcomes", "flush_scheduled")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
-        self.watched: "set[asyncio.Future]" = set()
         self.closed = False
+        self.outcomes: "list[proto.Grant | proto.Reject]" = []
+        self.flush_scheduled = False
 
     def send(self, msg: "Message") -> None:
+        """Write ``msg`` now, behind the outcomes collected so far."""
         if not self.closed:
-            self.writer.write(encode_frame(proto.encode_message(msg)))
+            self.writer.write(self._outcome_frames() + _frame(msg))
+
+    def send_after_outcomes(self, msg: "Message") -> None:
+        """Write ``msg`` once every done callback scheduled so far has
+        run, behind the outcomes they resolve."""
+        asyncio.get_running_loop().call_soon(self.send, msg)
+
+    def outcome(self, row: "proto.Grant | proto.Reject") -> None:
+        self.outcomes.append(row)
+        if not self.flush_scheduled:
+            self.flush_scheduled = True
+            asyncio.get_running_loop().call_soon(self.flush)
+
+    def flush(self) -> None:
+        self.flush_scheduled = False
+        if self.outcomes and not self.closed:
+            self.writer.write(self._outcome_frames())
+
+    def _outcome_frames(self) -> bytes:
+        if not self.outcomes:
+            return b""
+        rows, self.outcomes = self.outcomes, []
+        return b"".join(_frame(m) for m in proto.outcome_batches(rows))
+
+
+def _frame(msg: "Message") -> bytes:
+    return encode_frame(proto.encode_message(msg))
 
 
 class NetServer:
@@ -111,7 +154,6 @@ class NetServer:
         self.idle_timeout = idle_timeout
         self._requested_port = port
         self._server: asyncio.base_events.Server | None = None
-        self._conns: set[_Conn] = set()
         self._handlers: "set[asyncio.Task]" = set()
         self._tick_lock = asyncio.Lock()
 
@@ -156,7 +198,6 @@ class NetServer:
         if task is not None:
             self._handlers.add(task)
         conn = _Conn(writer)
-        self._conns.add(conn)
         try:
             await self._serve_connection(conn, reader)
         except asyncio.CancelledError:
@@ -173,13 +214,12 @@ class NetServer:
                 self._handlers.discard(task)
 
     def _teardown(self, conn: _Conn) -> None:
-        """Detach watched futures (they may resolve after close — the
-        service still owns them; we just must not write) and close."""
+        """Close.  Submitted futures may resolve after this (the service
+        still owns them); their done callbacks see ``closed`` and write
+        nothing."""
         if conn.closed:
             return
         conn.closed = True
-        self._conns.discard(conn)
-        conn.watched.clear()
         if not conn.writer.is_closing():
             conn.writer.close()
 
@@ -213,7 +253,7 @@ class NetServer:
                 else:
                     # Idle reaping: a silent (non-heartbeating) peer.
                     conn.send(proto.Bye())
-                await self._flush(conn)
+                await self._drain(conn)
                 return
             if not data:
                 return  # peer closed (mid-frame EOFs just die with it)
@@ -233,7 +273,7 @@ class NetServer:
                             0, proto.ErrorCode.BAD_REQUEST, str(exc)
                         )
                     )
-                    await self._flush(conn)
+                    await self._drain(conn)
                     return
                 if isinstance(msg, proto.Bye):
                     return
@@ -244,9 +284,9 @@ class NetServer:
                     continue
                 if not await self._dispatch(conn, msg):
                     return
-            await self._flush(conn)
+            await self._drain(conn)
 
-    async def _flush(self, conn: _Conn) -> None:
+    async def _drain(self, conn: _Conn) -> None:
         if not conn.closed and not conn.writer.is_closing():
             try:
                 await conn.writer.drain()
@@ -262,7 +302,7 @@ class NetServer:
                     f"expected HELLO first, got {type(msg).__name__}",
                 )
             )
-            await self._flush(conn)
+            await self._drain(conn)
             return False
         if proto.PROTOCOL_VERSION not in msg.versions:
             conn.send(
@@ -273,7 +313,7 @@ class NetServer:
                     f"client offered {list(msg.versions)}",
                 )
             )
-            await self._flush(conn)
+            await self._drain(conn)
             return False
         conn.send(
             proto.Welcome(
@@ -282,20 +322,21 @@ class NetServer:
                 self.service.scheme.k,
             )
         )
-        await self._flush(conn)
+        await self._drain(conn)
         return True
 
     async def _dispatch(self, conn: _Conn, msg: "Message") -> bool:
         """Handle one post-handshake message; False closes the connection."""
-        if isinstance(msg, proto.Submit):
-            self._handle_submit(conn, msg)
+        if isinstance(msg, proto.SubmitBatch):
+            for row in msg.rows:
+                self._handle_submit(conn, row)
             return True
         if isinstance(msg, proto.TickAdvance):
             async with self._tick_lock:
                 granted = 0
                 for _ in range(msg.count):
                     granted += await self.service.tick()
-            conn.send(proto.TickDone(self.service.slot, granted))
+            conn.send_after_outcomes(proto.TickDone(self.service.slot, granted))
             return True
         if isinstance(msg, proto.Migrate):
             await self._handle_migrate(conn, msg)
@@ -310,7 +351,7 @@ class NetServer:
                 f"{type(msg).__name__} is not a client message",
             )
         )
-        await self._flush(conn)
+        await self._drain(conn)
         return False
 
     async def _handle_migrate(self, conn: _Conn, msg: proto.Migrate) -> None:
@@ -369,10 +410,8 @@ class NetServer:
             )
             return
         seq = msg.seq
-        conn.watched.add(future)
 
         def _resolved(fut: "asyncio.Future") -> None:
-            conn.watched.discard(fut)
             if conn.closed or fut.cancelled():
                 return
             exc = fut.exception()
@@ -383,10 +422,10 @@ class NetServer:
                 return
             outcome = fut.result()
             if isinstance(outcome, ServiceGrant):
-                conn.send(proto.Grant(seq, outcome.channel, outcome.slot))
+                conn.outcome(proto.Grant(seq, outcome.channel, outcome.slot))
             else:
                 assert isinstance(outcome, Rejected)
-                conn.send(
+                conn.outcome(
                     proto.Reject(
                         seq,
                         outcome.reason,

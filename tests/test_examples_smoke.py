@@ -63,7 +63,7 @@ class TestExamples:
 
     def test_net_demo(self, capsys):
         out = _run("net_demo.py", capsys)
-        assert "handshake: protocol v5" in out
+        assert "handshake: protocol v6" in out
         assert "over TCP (conservation: True)" in out
         assert "matches pre-kill state exactly: True" in out
         assert "clean shutdown" in out

@@ -3,7 +3,7 @@
 The acceptance drill of PR 10: a :class:`~repro.net.chaos.ChaosProxy`
 executes a seeded :class:`~repro.faults.net.NetFaultPlan` (latency,
 write stalls, mid-frame resets, single-byte corruption, duplicate
-SUBMIT delivery, a healed partition) between a
+SUBMIT_BATCH delivery, a healed partition) between a
 :class:`~repro.service.SchedulingClient` over TCP and a live
 :class:`~repro.net.server.NetServer`, and the run must *converge*:
 

@@ -8,6 +8,7 @@ descriptors under repeated connect/cancel cycles.
 
 import asyncio
 import gc
+import json
 import os
 import struct
 import warnings
@@ -19,14 +20,16 @@ pytestmark = pytest.mark.net
 from repro.core.distributed import SlotRequest
 from repro.core.first_available import FirstAvailableScheduler
 from repro.core.policies import WeightedFairPolicy
-from repro.errors import ProtocolError
+from repro.errors import ConnectionLostError, ProtocolError
+from repro.faults.net import NetFaultPlan
 from repro.graphs.conversion import NonCircularConversion
 from repro.net import protocol as proto
-from repro.net.client import NetClient
+from repro.net.chaos import ChaosProxy
+from repro.net.client import RETRYABLE_NET_ERRORS, NetClient
 from repro.net.server import NetServer
 from repro.service import OverflowPolicy, SchedulingService, TenantAdmission
 from repro.service.server import Rejected, RejectReason
-from repro.util.framing import encode_frame
+from repro.util.framing import FRAME_HEADER_SIZE, FrameDecoder, encode_frame
 
 N_FIBERS, K = 4, 3
 
@@ -67,7 +70,7 @@ class TestHandshake:
             service, server = await _stack()
             client = await NetClient.connect("127.0.0.1", server.port)
             try:
-                assert client.version == proto.PROTOCOL_VERSION == 5
+                assert client.version == proto.PROTOCOL_VERSION == 6
                 assert client.n_fibers == N_FIBERS
                 assert client.k == K
             finally:
@@ -218,6 +221,33 @@ class TestRequests:
                 )
                 with pytest.raises(ProtocolError, match="BAD_REQUEST|error 3"):
                     await asyncio.wait_for(fut, 5)
+            finally:
+                await client.close()
+                await server.stop()
+                await service.stop()
+
+        run(go())
+
+    def test_unencodable_row_fails_alone(self):
+        """A row the codec refuses raises at ``submit_nowait`` and queues
+        nothing; the rest of its loop turn's batch still reaches the
+        server."""
+
+        async def go():
+            service, server = await _stack()
+            client = await NetClient.connect("127.0.0.1", server.port)
+            try:
+                good = client.submit_nowait(SlotRequest(0, 0, 0))
+                with pytest.raises(ProtocolError, match="cannot encode"):
+                    client.submit_nowait(SlotRequest(1, 1, 1), request_id="x" * 300)
+                with pytest.raises(ProtocolError, match="cannot encode"):
+                    client.submit_nowait(SlotRequest(-1, 0, 0))
+                also_good = client.submit_nowait(SlotRequest(2, 2, 2))
+                done = await client.tick(1)
+                assert done.granted == 2
+                assert isinstance(await good, proto.Grant)
+                assert isinstance(await also_good, proto.Grant)
+                assert client._pending == {}
             finally:
                 await client.close()
                 await server.stop()
@@ -379,7 +409,173 @@ class TestRejectCodes:
         assert reply.reason is RejectReason.UNAVAILABLE
 
 
+def _slot_requests(n: int) -> list[SlotRequest]:
+    return [
+        SlotRequest(i % N_FIBERS, (i // N_FIBERS) % K, (i * 7) % N_FIBERS)
+        for i in range(n)
+    ]
+
+
+class TestWireShape:
+    """One frame per slot each way: a slot's submissions leave as one
+    SUBMIT_BATCH and come back as one OUTCOMES, ahead of TICK_DONE."""
+
+    _HANDSHAKE = {int(proto.MsgType.HELLO), int(proto.MsgType.WELCOME)}
+
+    async def _one_slot(self, n: int, trace_path):
+        """Submit ``n`` requests in one loop turn and tick once through a
+        fault-free proxy; returns the futures, their state when ``tick()``
+        returned, the relayed frames and the server's counters."""
+        service = _service()
+        server = NetServer(service)
+        await server.start()
+        proxy = await ChaosProxy(
+            "127.0.0.1", server.port, NetFaultPlan(),
+            trace_path=str(trace_path),
+        ).start()
+        client = await NetClient.connect("127.0.0.1", proxy.port)
+        try:
+            futs = [client.submit_nowait(r) for r in _slot_requests(n)]
+            done = await client.tick()
+            settled = [f.done() for f in futs]
+            assert done.slot == 1
+        finally:
+            await client.close()
+            await proxy.close()
+            await server.stop()
+            await service.stop()
+        records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        frames = [
+            (r["dir"], r["tag"], r["len"])
+            for r in records
+            if r["kind"] == "frame"
+            and r["tag"] not in self._HANDSHAKE
+            and r["tag"] != proto.MsgType.BYE
+        ]
+        counters = service.telemetry.snapshot()["counters"]
+        return futs, settled, frames, counters
+
+    def test_a_slot_is_one_frame_each_way(self, tmp_path):
+        futs, settled, frames, counters = run(
+            self._one_slot(230, tmp_path / "frames.jsonl")
+        )
+        assert [(d, t) for d, t, _ in frames if d == "c2s"] == [
+            ("c2s", proto.MsgType.SUBMIT_BATCH),
+            ("c2s", proto.MsgType.TICK_ADVANCE),
+        ]
+        assert [(d, t) for d, t, _ in frames if d == "s2c"] == [
+            ("s2c", proto.MsgType.OUTCOMES),
+            ("s2c", proto.MsgType.TICK_DONE),
+        ]
+        # The OUTCOMES frame precedes TICK_DONE, so every future the tick
+        # resolved is done by the time tick() returns.
+        assert all(settled)
+        outcomes = [f.result() for f in futs]
+        assert sorted(o.seq for o in outcomes) == list(range(1, 231))
+        assert counters["server.submitted"] == 230
+        assert len([o for o in outcomes if isinstance(o, proto.Grant)]) == (
+            counters["server.granted"]
+        )
+
+    def test_a_huge_slot_splits_within_max_message(self, tmp_path):
+        futs, settled, frames, counters = run(
+            self._one_slot(5000, tmp_path / "frames.jsonl")
+        )
+        batches = [f for f in frames if f[1] == proto.MsgType.SUBMIT_BATCH]
+        outcomes = [f for f in frames if f[1] == proto.MsgType.OUTCOMES]
+        assert len(batches) > 2 and len(outcomes) > 1
+        for _d, _t, length in batches + outcomes:
+            assert length - FRAME_HEADER_SIZE <= proto.MAX_MESSAGE
+        # Every request is resolved once, and the server conserved them.
+        assert all(settled)
+        assert sorted(f.result().seq for f in futs) == list(range(1, 5001))
+        resolved = counters.get("server.granted", 0) + sum(
+            v for k, v in counters.items() if k.startswith("server.rejected.")
+        )
+        assert counters["server.submitted"] == resolved == 5000
+
+
 class TestShutdownHygiene:
+    def test_rows_queued_at_close_never_follow_bye(self):
+        """Rows queued and then closed on in the same loop turn leave
+        before the BYE, never after it; every future ends cancelled (or
+        resolved) and no task is left pending."""
+
+        async def go():
+            service, server = await _stack()
+            client = await NetClient.connect("127.0.0.1", server.port)
+            written = []
+            write = client._writer.write
+            client._writer.write = lambda data: (
+                written.append(bytes(data)), write(data)
+            )[1]
+            try:
+                futs = [client.submit_nowait(r) for r in _slot_requests(20)]
+                await client.close()
+                # Let the loop-turn flush that submit_nowait scheduled run.
+                for _ in range(3):
+                    await asyncio.sleep(0)
+                assert all(f.done() for f in futs)
+                assert all(
+                    f.cancelled() or f.exception() is None for f in futs
+                )
+            finally:
+                await server.stop()
+                await service.stop()
+            decoder = FrameDecoder(max_payload=proto.MAX_MESSAGE)
+            msgs = [
+                proto.decode_message(p)
+                for p in decoder.feed(b"".join(written))
+            ]
+            assert isinstance(msgs[-1], proto.Bye)
+            sent = [row for m in msgs[:-1] for row in m.rows]
+            assert [row.seq for row in sent] == list(range(1, 21))
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(go())
+            gc.collect()
+        assert [w for w in caught if "Task was destroyed" in str(w.message)] == []
+
+    def test_rows_queued_on_a_dying_connection_fail_retryably(self):
+        """A connection lost with rows still queued fails their futures
+        with ConnectionLostError, the error SchedulingClient redelivers
+        on, and never writes the rows."""
+
+        async def go():
+            service, server = await _stack()
+            try:
+                for kill in ("abort", "peer_reset"):
+                    proxy = await ChaosProxy(
+                        "127.0.0.1", server.port, NetFaultPlan()
+                    ).start()
+                    client = await NetClient.connect("127.0.0.1", proxy.port)
+                    try:
+                        futs = [
+                            client.submit_nowait(r) for r in _slot_requests(5)
+                        ]
+                        if kill == "abort":
+                            client.abort("liveness lost")
+                        else:
+                            for link in list(proxy._links):
+                                link.abort()
+                        results = await asyncio.wait_for(
+                            asyncio.gather(*futs, return_exceptions=True), 5
+                        )
+                        for r in results:
+                            assert isinstance(r, ConnectionLostError), kill
+                            assert isinstance(r, RETRYABLE_NET_ERRORS)
+                    finally:
+                        await client.close()
+                        await proxy.close()
+                counters = service.telemetry.snapshot()["counters"]
+                assert counters.get("server.submitted", 0) == 0
+            finally:
+                await server.stop()
+                await service.stop()
+
+        run(go())
+
     def test_no_pending_task_warnings_on_close(self):
         """Repeated connect/submit/abandon/close cycles leak nothing."""
 
